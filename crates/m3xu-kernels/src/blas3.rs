@@ -1,18 +1,22 @@
-//! The full BLAS-3 surface over the packed fragment pipeline.
+//! The packed GEMM-family driver: one pipeline behind plain GEMM, the
+//! full BLAS-3 surface, and the ABFT-checked runs of both.
 //!
-//! [`gemm`](crate::gemm) ships the plain `D = A·B + C` drivers; this
-//! module generalizes them to the surface real workloads sit on:
+//! Every call is `D = alpha·op(A)·op(B) + beta·C` over an output region,
+//! described by one `PackedCall` whose fields are the only thing that
+//! distinguishes GEMM, SYMM/HEMM, and SYRK/HERK:
 //!
+//! * **plain GEMM** ([`crate::gemm`]) is the instance `op = N`,
+//!   `alpha = beta = 1` over the full region — both folds below are
+//!   bitwise skips at unit scalars, so it is bit- and stats-identical to
+//!   op-GEMM with those parameters;
 //! * **`op(X)` operands** — `X`, `X^T`, `X^H` iterate straight out of the
 //!   stored buffer through [`OpView`] (no transposed or conjugated copy is
 //!   ever materialized; see [`m3xu_mxu::matrix`]);
-//! * **alpha/beta accumulate** — `D = alpha·op(A)·op(B) + beta·C`. Alpha
-//!   folds into `op(A)`'s elements *before* buffer quantisation (one
-//!   multiply per element, bitwise-skipped when `alpha == 1`); beta folds
-//!   into the tile seeds (`beta == 1` reads `C` directly — today's
-//!   accumulate path bit-for-bit; `beta == +0.0` seeds zeros without
-//!   reading `C`, so an uninitialised/NaN `C` never leaks — today's
-//!   overwrite path bit-for-bit);
+//! * **alpha/beta accumulate** — alpha folds into `op(A)`'s elements
+//!   *before* buffer quantisation (bitwise-skipped when `alpha == 1`);
+//!   beta folds into the tile seeds (`beta == 1` seeds from `C` itself;
+//!   `beta == +0.0` seeds zeros without reading `C`, so an
+//!   uninitialised/NaN `C` never leaks);
 //! * **SYMM/HEMM** — a triangle-stored symmetric/Hermitian operand
 //!   expands on the fly through [`MirrorView`];
 //! * **SYRK/HERK** — rank-k updates schedule **only the output tiles that
@@ -24,35 +28,79 @@
 //!   diagonal tiles store element-predicated, so the unreferenced
 //!   triangle of `C` passes through **byte-for-byte untouched**.
 //!
-//! All drivers run the same packed epoch/panel pipeline as plain GEMM
-//! (same fragment grid, same K-chunk rounding boundaries), so an op-GEMM
-//! with `op = N`, `alpha = 1`, `beta = 1` is bit-identical — and
-//! stats-identical — to [`crate::gemm::try_gemm_f32`].
+//! ## The pipeline
 //!
-//! Every entry point here is covered by the checked (ABFT) driver: the
-//! expected checksums are computed from the **packed** operand planes —
-//! after alpha folding, op views, mirrors, and quantisation — so an armed
-//! fault plan reroutes the whole surface through the checked
-//! `try_blas3_abft` driver, including the triangular SYRK/HERK schedules
-//! (verification prices only the `T(T+1)/2` scheduled tiles).
+//! The driver validates the shapes, decodes both operands into
+//! [`PackedOperand`] planes once per call (borrowing the context's
+//! scratch arena), and distributes the output tiles over the persistent
+//! [`WorkerPool`]. Each tile seeds its accumulator, runs its reduction,
+//! and stores its disjoint region of `D`; the recorded sample is a pure
+//! function of the fragment grid.
+//!
+//! Only the per-tile reduction depends on whether a [`FaultPlan`] is
+//! armed. Unarmed, tiles run the cache-blocked panel epochs of
+//! [`KPlan`] through the SIMD row pipeline. Armed, every k-chunk is
+//! verified against Huang–Abraham checksums computed from the **packed**
+//! planes (after alpha folding, op/mirror views, and quantisation, so
+//! every precision is checkable), and recovery is hierarchical:
+//!
+//! * a **checksum mismatch** restores the chunk's seeds and re-executes
+//!   only that chunk (each attempt is a fresh fault site) — up to
+//!   `MAX_TILE_ATTEMPTS` executions per chunk;
+//! * a **lost pool epoch** (injected task panic, killed worker) is caught
+//!   with `catch_unwind` and the whole tile grid re-submitted — tiles
+//!   seed from the inputs, never from `D`, so every rerun is idempotent —
+//!   up to `MAX_EPOCH_ATTEMPTS`;
+//! * anything that survives both loops surfaces as
+//!   [`M3xuError::FaultDetected`]. The driver never panics and never
+//!   returns silently-corrupt data the checksums can see.
+//!
+//! A checked success records the same production sample as an unchecked
+//! run; verification work and re-executions are reported in the
+//! [`FaultSummary`] and the context's fault counters instead.
 
 use crate::blocking::KPlan;
 use crate::context::{self, GemmSample, M3xuContext};
-use crate::gemm::{
-    check_precision, AbftElem, GemmPrecision, GemmResult, PackedElem, SendPtr, ACC_SCRATCH, DPU,
-    MAX_EPOCH_ATTEMPTS, MAX_TILE_ATTEMPTS,
-};
+use crate::gemm::{check_precision, validate_gemm_shapes, GemmPrecision, GemmResult};
 use crate::pool::WorkerPool;
 use m3xu_fp::complex::Complex;
+use m3xu_mxu::abft::{self, Checksum};
+use m3xu_mxu::dpu::DotProductUnit;
 use m3xu_mxu::error::M3xuError;
-use m3xu_mxu::fault::{FaultPlan, FaultSummary, TaskFault};
+use m3xu_mxu::fault::{FaultPlan, FaultSummary, MmaFault, TaskFault};
 use m3xu_mxu::matrix::{MatOp, MatSource, Matrix, MirrorView, OpView, Triangle};
 use m3xu_mxu::mma::{MmaShape, MmaStats};
 use m3xu_mxu::modes::MxuMode;
 use m3xu_mxu::packed::{fragment_stats, PackedOperand, PackedStorage};
+use std::borrow::Cow;
+use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
+
+/// Fixed per-tile accumulator scratch (one full fragment,
+/// `frag.m * frag.n` elements). Validated against each mode's fragment
+/// shape at entry so a future shape cannot silently truncate a tile or
+/// panic mid-epoch inside a pooled task.
+const ACC_SCRATCH: usize = 64;
+
+/// Executions a checked run grants one k-chunk before declaring its tile
+/// unrecoverable. Sites include the attempt number, so a fault plan with
+/// rate < 1 usually clears within a retry or two (the residual failure
+/// probability is `rate^4` per chunk); a plan with rate 1.0 exhausts them
+/// and exercises the error path.
+const MAX_TILE_ATTEMPTS: u64 = 4;
+
+/// Pool-epoch re-submissions a checked run performs when an injected task
+/// panic (or an abruptly-killed worker) loses a whole epoch.
+const MAX_EPOCH_ATTEMPTS: u64 = 4;
+
+thread_local! {
+    /// One dot-product unit per thread, reused across every fragment of
+    /// every call — its wide Kulisch registers never hit the allocator on
+    /// the hot path.
+    static DPU: RefCell<DotProductUnit> = RefCell::new(DotProductUnit::new());
+}
 
 /// Which side a SYMM/HEMM's symmetric operand multiplies from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -63,7 +111,7 @@ pub enum Side {
     Right,
 }
 
-/// The output region a BLAS-3 driver writes.
+/// The output region a call writes.
 #[derive(Debug, Clone, Copy)]
 enum OutRegion {
     /// Every output tile (GEMM/SYMM/HEMM).
@@ -83,14 +131,19 @@ impl OutRegion {
     }
 }
 
-/// An element type the BLAS-3 drivers can run: [`PackedElem`] plus the
-/// alpha/beta scalar algebra and the source-generic (op/alpha-aware)
-/// packers.
-pub(crate) trait Blas3Elem: PackedElem {
+/// An element type the packed driver runs: the alpha/beta scalar
+/// algebra, the source-generic (op/alpha-aware) packers, the panel
+/// executor, and the per-k-chunk checksum pair of a checked run.
+pub(crate) trait PackedElem: Copy + Default + Send + Sync + 'static {
+    /// Bytes per reduction element in the packed value plane (`B` side) —
+    /// what the cache-blocking plan sizes its panels around.
+    const VAL_BYTES: usize;
     /// The alpha/beta scalar type (`f32`, [`Complex<f32>`], `f64`).
     type Scalar: Copy + Send + Sync + 'static;
+    /// The unit scalar: plain GEMM's alpha and beta.
+    const ONE: Self::Scalar;
     /// Bitwise `== 1` — the multiplication skip the bit-exactness
-    /// contract with the plain drivers hangs on.
+    /// contract between plain GEMM and op-GEMM hangs on.
     fn is_unit(s: Self::Scalar) -> bool;
     /// Bitwise `== +0.0` — the "never read C" overwrite fast path.
     fn is_zero(s: Self::Scalar) -> bool;
@@ -103,22 +156,74 @@ pub(crate) trait Blas3Elem: PackedElem {
     fn force_real(x: Self) -> Self;
     /// Pack rows (the first operand) from any logical source, folding
     /// `alpha` before quantisation.
-    fn pack_rows_src<S: MatSource<Self>>(
+    fn pack_rows<S: MatSource<Self>>(
         src: &S,
         alpha: Self::Scalar,
         mode: MxuMode,
         storage: PackedStorage,
-    ) -> PackedOperand;
+    ) -> Result<PackedOperand, M3xuError>;
     /// Pack columns (the second operand) from any logical source.
-    fn pack_cols_src<S: MatSource<Self>>(
+    fn pack_cols<S: MatSource<Self>>(
         src: &S,
         mode: MxuMode,
         storage: PackedStorage,
-    ) -> PackedOperand;
+    ) -> Result<PackedOperand, M3xuError>;
+    /// Execute a whole `[k0, kend)` reduction panel on one tile
+    /// (row-major `rows x cols` in `acc`), chunked at `frag_k`, through
+    /// the SIMD row pipeline where eligible.
+    #[allow(clippy::too_many_arguments)]
+    fn execute_panel(
+        dpu: &mut DotProductUnit,
+        a: &PackedOperand,
+        b: &PackedOperand,
+        r0: usize,
+        rows: usize,
+        c0: usize,
+        cols: usize,
+        k0: usize,
+        kend: usize,
+        frag_k: usize,
+        acc: &mut [Self],
+    );
+    /// Expected checksum of one k-chunk, from the tile's **packed**
+    /// operand bands and its pre-chunk accumulator (`seeds`, row-major
+    /// `rows × cols`): the expected side predicts exactly what the MMA
+    /// multiplies.
+    #[allow(clippy::too_many_arguments)]
+    fn expected_chunk(
+        a: &PackedOperand,
+        b: &PackedOperand,
+        seeds: &[Self],
+        r0: usize,
+        rows: usize,
+        c0: usize,
+        cols: usize,
+        k0: usize,
+        kend: usize,
+    ) -> Checksum;
+    /// Execute one `frag_k` chunk, reporting the computed checksum and
+    /// (optionally) corrupting one product on the way out of the
+    /// datapath.
+    #[allow(clippy::too_many_arguments)]
+    fn execute_checked(
+        dpu: &mut DotProductUnit,
+        a: &PackedOperand,
+        b: &PackedOperand,
+        r0: usize,
+        rows: usize,
+        c0: usize,
+        cols: usize,
+        k0: usize,
+        klen: usize,
+        acc: &mut [Self],
+        fault: Option<&MmaFault>,
+    ) -> Checksum;
 }
 
-impl Blas3Elem for f32 {
+impl PackedElem for f32 {
+    const VAL_BYTES: usize = std::mem::size_of::<f32>();
     type Scalar = f32;
+    const ONE: f32 = 1.0;
     #[inline]
     fn is_unit(s: f32) -> bool {
         s.to_bits() == 1.0f32.to_bits()
@@ -145,27 +250,70 @@ impl Blas3Elem for f32 {
     fn force_real(x: f32) -> f32 {
         x
     }
-    fn pack_rows_src<S: MatSource<f32>>(
+    fn pack_rows<S: MatSource<f32>>(
         src: &S,
         alpha: f32,
         mode: MxuMode,
         storage: PackedStorage,
-    ) -> PackedOperand {
+    ) -> Result<PackedOperand, M3xuError> {
         PackedOperand::try_pack_rows_f32_src_in(src, alpha, mode, storage)
-            .unwrap_or_else(|e| panic!("{e}"))
     }
-    fn pack_cols_src<S: MatSource<f32>>(
+    fn pack_cols<S: MatSource<f32>>(
         src: &S,
         mode: MxuMode,
         storage: PackedStorage,
-    ) -> PackedOperand {
+    ) -> Result<PackedOperand, M3xuError> {
         PackedOperand::try_pack_cols_f32_src_in(src, 1.0, mode, storage)
-            .unwrap_or_else(|e| panic!("{e}"))
+    }
+    fn execute_panel(
+        dpu: &mut DotProductUnit,
+        a: &PackedOperand,
+        b: &PackedOperand,
+        r0: usize,
+        rows: usize,
+        c0: usize,
+        cols: usize,
+        k0: usize,
+        kend: usize,
+        frag_k: usize,
+        acc: &mut [f32],
+    ) {
+        dpu.mma_f32_panel_into(a, b, r0, rows, c0, cols, k0, kend, frag_k, acc);
+    }
+    fn expected_chunk(
+        a: &PackedOperand,
+        b: &PackedOperand,
+        seeds: &[f32],
+        r0: usize,
+        rows: usize,
+        c0: usize,
+        cols: usize,
+        k0: usize,
+        kend: usize,
+    ) -> Checksum {
+        abft::expected_chunk_packed_f32(a, b, seeds, r0, rows, c0, cols, k0, kend)
+    }
+    fn execute_checked(
+        dpu: &mut DotProductUnit,
+        a: &PackedOperand,
+        b: &PackedOperand,
+        r0: usize,
+        rows: usize,
+        c0: usize,
+        cols: usize,
+        k0: usize,
+        klen: usize,
+        acc: &mut [f32],
+        fault: Option<&MmaFault>,
+    ) -> Checksum {
+        dpu.mma_f32_checked_into(a, b, r0, rows, c0, cols, k0, klen, acc, fault)
     }
 }
 
-impl Blas3Elem for Complex<f32> {
+impl PackedElem for Complex<f32> {
+    const VAL_BYTES: usize = std::mem::size_of::<Complex<f32>>();
     type Scalar = Complex<f32>;
+    const ONE: Complex<f32> = Complex::<f32>::ONE;
     #[inline]
     fn is_unit(s: Complex<f32>) -> bool {
         s.re.to_bits() == 1.0f32.to_bits() && s.im.to_bits() == 0.0f32.to_bits()
@@ -194,25 +342,74 @@ impl Blas3Elem for Complex<f32> {
     fn force_real(x: Complex<f32>) -> Complex<f32> {
         Complex::new(x.re, 0.0)
     }
-    fn pack_rows_src<S: MatSource<Complex<f32>>>(
+    fn pack_rows<S: MatSource<Complex<f32>>>(
         src: &S,
         alpha: Complex<f32>,
         _mode: MxuMode,
         storage: PackedStorage,
-    ) -> PackedOperand {
-        PackedOperand::pack_rows_c32_src_in(src, alpha, storage)
+    ) -> Result<PackedOperand, M3xuError> {
+        Ok(PackedOperand::pack_rows_c32_src_in(src, alpha, storage))
     }
-    fn pack_cols_src<S: MatSource<Complex<f32>>>(
+    fn pack_cols<S: MatSource<Complex<f32>>>(
         src: &S,
         _mode: MxuMode,
         storage: PackedStorage,
-    ) -> PackedOperand {
-        PackedOperand::pack_cols_c32_src_in(src, Complex::<f32>::ONE, storage)
+    ) -> Result<PackedOperand, M3xuError> {
+        Ok(PackedOperand::pack_cols_c32_src_in(
+            src,
+            Complex::<f32>::ONE,
+            storage,
+        ))
+    }
+    fn execute_panel(
+        dpu: &mut DotProductUnit,
+        a: &PackedOperand,
+        b: &PackedOperand,
+        r0: usize,
+        rows: usize,
+        c0: usize,
+        cols: usize,
+        k0: usize,
+        kend: usize,
+        frag_k: usize,
+        acc: &mut [Complex<f32>],
+    ) {
+        dpu.mma_c32_panel_into(a, b, r0, rows, c0, cols, k0, kend, frag_k, acc);
+    }
+    fn expected_chunk(
+        a: &PackedOperand,
+        b: &PackedOperand,
+        seeds: &[Complex<f32>],
+        r0: usize,
+        rows: usize,
+        c0: usize,
+        cols: usize,
+        k0: usize,
+        kend: usize,
+    ) -> Checksum {
+        abft::expected_chunk_packed_c32(a, b, seeds, r0, rows, c0, cols, k0, kend)
+    }
+    fn execute_checked(
+        dpu: &mut DotProductUnit,
+        a: &PackedOperand,
+        b: &PackedOperand,
+        r0: usize,
+        rows: usize,
+        c0: usize,
+        cols: usize,
+        k0: usize,
+        klen: usize,
+        acc: &mut [Complex<f32>],
+        fault: Option<&MmaFault>,
+    ) -> Checksum {
+        dpu.mma_c32_checked_into(a, b, r0, rows, c0, cols, k0, klen, acc, fault)
     }
 }
 
-impl Blas3Elem for f64 {
+impl PackedElem for f64 {
+    const VAL_BYTES: usize = std::mem::size_of::<f64>();
     type Scalar = f64;
+    const ONE: f64 = 1.0;
     #[inline]
     fn is_unit(s: f64) -> bool {
         s.to_bits() == 1.0f64.to_bits()
@@ -239,343 +436,553 @@ impl Blas3Elem for f64 {
     fn force_real(x: f64) -> f64 {
         x
     }
-    fn pack_rows_src<S: MatSource<f64>>(
+    fn pack_rows<S: MatSource<f64>>(
         src: &S,
         alpha: f64,
         mode: MxuMode,
         storage: PackedStorage,
-    ) -> PackedOperand {
+    ) -> Result<PackedOperand, M3xuError> {
         PackedOperand::try_pack_rows_f64_src_in(src, alpha, mode, storage)
-            .unwrap_or_else(|e| panic!("{e}"))
     }
-    fn pack_cols_src<S: MatSource<f64>>(
+    fn pack_cols<S: MatSource<f64>>(
         src: &S,
         mode: MxuMode,
         storage: PackedStorage,
-    ) -> PackedOperand {
+    ) -> Result<PackedOperand, M3xuError> {
         PackedOperand::try_pack_cols_f64_src_in(src, 1.0, mode, storage)
-            .unwrap_or_else(|e| panic!("{e}"))
+    }
+    fn execute_panel(
+        dpu: &mut DotProductUnit,
+        a: &PackedOperand,
+        b: &PackedOperand,
+        r0: usize,
+        rows: usize,
+        c0: usize,
+        cols: usize,
+        k0: usize,
+        kend: usize,
+        frag_k: usize,
+        acc: &mut [f64],
+    ) {
+        dpu.mma_f64_panel_into(a, b, r0, rows, c0, cols, k0, kend, frag_k, acc);
+    }
+    fn expected_chunk(
+        a: &PackedOperand,
+        b: &PackedOperand,
+        seeds: &[f64],
+        r0: usize,
+        rows: usize,
+        c0: usize,
+        cols: usize,
+        k0: usize,
+        kend: usize,
+    ) -> Checksum {
+        abft::expected_chunk_packed_f64(a, b, seeds, r0, rows, c0, cols, k0, kend)
+    }
+    fn execute_checked(
+        dpu: &mut DotProductUnit,
+        a: &PackedOperand,
+        b: &PackedOperand,
+        r0: usize,
+        rows: usize,
+        c0: usize,
+        cols: usize,
+        k0: usize,
+        klen: usize,
+        acc: &mut [f64],
+        fault: Option<&MmaFault>,
+    ) -> Checksum {
+        dpu.mma_f64_checked_into(a, b, r0, rows, c0, cols, k0, klen, acc, fault)
     }
 }
 
-/// The generic BLAS-3 driver: `D = alpha·a·b + beta·C` over `region`,
-/// where `a` and `b` are *logical* sources (op views, mirror views, or
-/// plain matrices) and alpha has already been assigned to fold into `a`.
-///
-/// Same pipeline as the plain packed driver — pack once, L2 epochs over
-/// `kc2` reduction slices, L1 panels inside, one exact accumulate +
-/// rounding per fragment K-chunk — with three generalizations: the tile
-/// list may cover only a triangle, tile seeds come from the beta-folded
-/// base (written into `D` up front), and diagonal tiles of a triangular
-/// region store element-predicated (leaving the unreferenced triangle of
-/// `C` byte-identical in `D`).
-#[allow(clippy::too_many_arguments)]
-fn try_blas3_packed<E, SA, SB>(
-    pool: &WorkerPool,
+/// One call of the packed driver: `D = alpha·a·b + beta·C` over
+/// `region`, where `a` and `b` are *logical* sources (op views, mirror
+/// views, or plain matrices) and alpha folds into `a` at pack time.
+pub(crate) struct PackedCall<'a, E: PackedElem, SA, SB> {
+    /// The op name a [`M3xuError::FaultDetected`] reports.
+    op: &'static str,
     mode: MxuMode,
-    a: &SA,
-    b: &SB,
+    a: &'a SA,
+    b: &'a SB,
     alpha: E::Scalar,
     beta: E::Scalar,
-    c: &Matrix<E>,
+    c: &'a Matrix<E>,
     region: OutRegion,
-    force_real_diag: bool,
-    ctx: Option<&M3xuContext>,
-) -> Result<GemmResult<E>, M3xuError>
-where
-    E: Blas3Elem,
-    SA: MatSource<E>,
-    SB: MatSource<E>,
-{
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    if b.rows() != k {
-        return Err(M3xuError::ShapeMismatch {
-            context: "blas3(B): inner dimensions must agree",
-            expected: (k, n),
-            got: (b.rows(), n),
-        });
-    }
-    if (c.rows(), c.cols()) != (m, n) {
-        return Err(M3xuError::ShapeMismatch {
-            context: "blas3(C): C must be m x n",
-            expected: (m, n),
-            got: (c.rows(), c.cols()),
-        });
-    }
+    /// HERK: diagonal entries seed from `beta·Re(c)` and store exactly
+    /// real.
+    real_diag: bool,
+}
 
-    let frag = MmaShape::BASELINE_FP16.for_mode(mode);
-    if frag.m * frag.n > ACC_SCRATCH {
-        return Err(M3xuError::FragmentOverflow {
-            needed: frag.m * frag.n,
-            capacity: ACC_SCRATCH,
-        });
+impl<'a, E: PackedElem, SA, SB> PackedCall<'a, E, SA, SB> {
+    /// A full-output call `D = alpha·a·b + beta·C`; SYRK/HERK narrow the
+    /// region (and HERK the diagonal) with struct-update syntax.
+    pub(crate) fn full(
+        op: &'static str,
+        mode: MxuMode,
+        a: &'a SA,
+        b: &'a SB,
+        alpha: E::Scalar,
+        beta: E::Scalar,
+        c: &'a Matrix<E>,
+    ) -> Self {
+        PackedCall {
+            op,
+            mode,
+            a,
+            b,
+            alpha,
+            beta,
+            c,
+            region: OutRegion::Full,
+            real_diag: false,
+        }
     }
-    let (tiles_m, tiles_n, k_chunks) = frag.grid(m, n, k);
+}
 
-    let mut d = c.clone();
-    // Fold beta into the written region of D up front: this is both the
-    // first epoch's seed and the final value of the degenerate k = 0
-    // path. beta == 1 leaves the clone untouched (zero extra work, the
-    // plain accumulate path); beta == +0.0 never reads C's values.
+impl<'a, E: PackedElem> PackedCall<'a, E, Matrix<E>, Matrix<E>> {
+    /// Plain `D = A·B + C`: op-GEMM at `op = N`, `alpha = beta = 1` over
+    /// the full output.
+    pub(crate) fn gemm(
+        op: &'static str,
+        mode: MxuMode,
+        a: &'a Matrix<E>,
+        b: &'a Matrix<E>,
+        c: &'a Matrix<E>,
+    ) -> Self {
+        Self::full(op, mode, a, b, E::ONE, E::ONE, c)
+    }
+}
+
+/// The beta-folded seed of every output element: `C` itself at unit beta
+/// (no copy — the plain accumulate path), otherwise a copy of `C` with the
+/// written region folded (`+0.0` beta never reads `C`'s values there;
+/// HERK diagonals seed `beta·Re(c)`). A pure function of the inputs, so a
+/// checked epoch rerun seeds from identical state.
+fn seed_base<E: PackedElem>(
+    c: &Matrix<E>,
+    beta: E::Scalar,
+    region: OutRegion,
+    real_diag: bool,
+) -> Cow<'_, Matrix<E>> {
     let beta_unit = E::is_unit(beta);
+    if beta_unit && !real_diag {
+        return Cow::Borrowed(c);
+    }
     let beta_zero = E::is_zero(beta);
-    if !beta_unit || force_real_diag {
-        for i in 0..m {
-            for j in 0..n {
-                if !region.writes(i, j) {
-                    continue;
+    let mut base = c.clone();
+    for i in 0..c.rows() {
+        for j in 0..c.cols() {
+            if !region.writes(i, j) {
+                continue;
+            }
+            let seed = if real_diag && i == j {
+                E::real_diag_seed(beta, c.get(i, j))
+            } else if beta_zero {
+                E::default()
+            } else if beta_unit {
+                continue;
+            } else {
+                E::scale(beta, c.get(i, j))
+            };
+            base.set(i, j, seed);
+        }
+    }
+    Cow::Owned(base)
+}
+
+/// A raw output pointer the tile tasks write through. Tiles are disjoint
+/// regions of the output, so concurrent writes never alias.
+struct SendPtr<T>(*mut T);
+// SAFETY: the one field points into the call's output matrix, which
+// outlives every pool epoch that uses it; tasks only write `T` values
+// (hence `T: Send`) into their own disjoint tiles through it.
+unsafe impl<T: Send> Send for SendPtr<T> {}
+// SAFETY: as above — shared access never aliases a write, because each
+// task touches only its own tile's region.
+unsafe impl<T: Send> Sync for SendPtr<T> {}
+
+impl<T> SendPtr<T> {
+    /// Accessor (rather than field access) so closures capture the whole
+    /// `Sync` wrapper, not the bare raw pointer.
+    fn get(&self) -> *mut T {
+        self.0
+    }
+}
+
+/// One output tile: its origin, its (edge-clipped) extent, and whether it
+/// sits on the tile-grid diagonal.
+struct Tile {
+    i0: usize,
+    j0: usize,
+    rows: usize,
+    cols: usize,
+    diag: bool,
+}
+
+/// The output-tile schedule of one call: the row-major run of tiles the
+/// region intersects — the whole `tiles_m x tiles_n` grid, or the
+/// `T(T+1)/2` tiles meeting a triangle. Tile ids map to coordinates
+/// arithmetically; no per-call tile list is built.
+struct TileGrid {
+    frag: MmaShape,
+    m: usize,
+    n: usize,
+    tiles_n: usize,
+    region: OutRegion,
+    len: usize,
+}
+
+impl TileGrid {
+    fn new(frag: MmaShape, m: usize, n: usize, region: OutRegion) -> Self {
+        let (tiles_m, tiles_n, _) = frag.grid(m, n, 0);
+        let mut grid = TileGrid {
+            frag,
+            m,
+            n,
+            tiles_n,
+            region,
+            len: 0,
+        };
+        grid.len = (0..tiles_m).map(|ti| grid.row_span(ti).1).sum();
+        grid
+    }
+
+    /// The scheduled tile columns `[first, first + count)` of tile row
+    /// `ti`.
+    fn row_span(&self, ti: usize) -> (usize, usize) {
+        match self.region {
+            OutRegion::Full => (0, self.tiles_n),
+            OutRegion::Tri(Triangle::Lower) => (0, (ti + 1).min(self.tiles_n)),
+            OutRegion::Tri(Triangle::Upper) => (ti, self.tiles_n.saturating_sub(ti)),
+        }
+    }
+
+    fn tile(&self, tid: usize) -> Tile {
+        let (ti, tj) = match self.region {
+            OutRegion::Full => (tid / self.tiles_n, tid % self.tiles_n),
+            OutRegion::Tri(_) => {
+                let (mut ti, mut rest) = (0, tid);
+                loop {
+                    let (first, count) = self.row_span(ti);
+                    if rest < count {
+                        break (ti, first + rest);
+                    }
+                    rest -= count;
+                    ti += 1;
                 }
-                let seed = if force_real_diag && i == j {
-                    E::real_diag_seed(beta, c.get(i, j))
-                } else if beta_zero {
-                    E::default()
-                } else if beta_unit {
-                    continue;
-                } else {
-                    E::scale(beta, c.get(i, j))
-                };
-                d.set(i, j, seed);
+            }
+        };
+        let (i0, j0) = (ti * self.frag.m, tj * self.frag.n);
+        Tile {
+            i0,
+            j0,
+            rows: self.frag.m.min(self.m - i0),
+            cols: self.frag.n.min(self.n - j0),
+            diag: ti == tj,
+        }
+    }
+}
+
+/// What every tile task shares: the schedule, the packed operands, the
+/// seed base, and the output.
+struct Pass<'a, E> {
+    grid: TileGrid,
+    pa: &'a PackedOperand,
+    pb: &'a PackedOperand,
+    k: usize,
+    base: &'a Matrix<E>,
+    d: SendPtr<E>,
+    real_diag: bool,
+}
+
+impl<E: PackedElem> Pass<'_, E> {
+    /// Seed `acc` with tile `t`: from the seed base on the tile's first
+    /// k-epoch (a row copy), from `D`'s partial sums on later epochs. On
+    /// a triangular region's diagonal tiles the out-of-triangle positions
+    /// seed the untouched `C` values — their accumulations are discarded
+    /// by the predicated store.
+    fn seed(&self, t: &Tile, acc: &mut [E], first: bool) {
+        if first {
+            self.base.view(t.i0, t.j0, t.rows, t.cols).copy_into(acc);
+            return;
+        }
+        for (i, row) in acc.chunks_exact_mut(t.cols).enumerate() {
+            // SAFETY: this tile owns its disjoint output region, epochs
+            // run sequentially, and the pointer outlives the pool run —
+            // the reads see exactly what the previous epoch's store wrote.
+            unsafe {
+                std::ptr::copy_nonoverlapping(
+                    self.d.get().add((t.i0 + i) * self.grid.n + t.j0) as *const E,
+                    row.as_mut_ptr(),
+                    t.cols,
+                );
             }
         }
     }
 
-    if k_chunks == 0 || m == 0 || n == 0 {
-        if let Some(cx) = ctx {
-            cx.counters().record(&GemmSample {
-                mode,
-                stats: MmaStats::default(),
-                tiles: 0,
-                fragments: 0,
-                operand_bytes: 0,
-                pack_ns: 0,
-                exec_ns: 0,
-            });
-        }
-        return Ok(GemmResult {
-            d,
-            stats: MmaStats::default(),
-        });
-    }
-
-    // The output-tile schedule. A triangular region keeps only the tiles
-    // that intersect the triangle: T(T+1)/2 of the T x T grid — the
-    // near-2x saving the analytical model predicts exactly.
-    let tiles: Vec<(usize, usize)> = match region {
-        OutRegion::Full => (0..tiles_m)
-            .flat_map(|ti| (0..tiles_n).map(move |tj| (ti, tj)))
-            .collect(),
-        OutRegion::Tri(tri) => (0..tiles_m)
-            .flat_map(|ti| (0..tiles_n).map(move |tj| (ti, tj)))
-            .filter(|&(ti, tj)| match tri {
-                Triangle::Lower => tj <= ti,
-                Triangle::Upper => ti <= tj,
-            })
-            .collect(),
-    };
-
-    let (sa, sb) = match ctx {
-        Some(cx) => cx.take_scratch(),
-        None => (PackedStorage::default(), PackedStorage::default()),
-    };
-    let t_pack = Instant::now();
-    let pa = E::pack_rows_src(a, alpha, mode, sa);
-    let pb = E::pack_cols_src(b, mode, sb);
-    let pack_ns = t_pack.elapsed().as_nanos() as u64;
-
-    let plan = KPlan::new(frag.k, k, n, E::VAL_BYTES);
-    let dptr = SendPtr(d.as_mut_slice().as_mut_ptr());
-    let t_exec = Instant::now();
-    let mut ke0 = 0usize;
-    while ke0 < k {
-        let ke1 = (ke0 + plan.kc2).min(k);
-        pool.run(tiles.len(), |tid| {
-            let (ti, tj) = tiles[tid];
-            let (i0, j0) = (ti * frag.m, tj * frag.n);
-            let rows = frag.m.min(m - i0);
-            let cols = frag.n.min(n - j0);
-            let mut acc = [E::default(); ACC_SCRATCH]; // >= frag.m * frag.n, checked at entry
-            let acc = &mut acc[..rows * cols];
-            // Seed from D: the beta-folded base on the first epoch, the
-            // previous epoch's partials afterwards. On a triangular
-            // region's diagonal tiles the out-of-triangle positions seed
-            // whatever D holds there (the untouched canary bytes) — their
-            // accumulations are discarded by the predicated store below.
-            for (i, row) in acc.chunks_exact_mut(cols).enumerate() {
-                // SAFETY: this tile owns its disjoint output region,
-                // epochs run sequentially, and the pointer outlives the
-                // pool run.
+    /// Store tile `t`. Full-region tiles and off-diagonal triangular
+    /// tiles (which lie entirely inside the triangle) bulk-store; only
+    /// diagonal tiles of a triangle pay per-element predication.
+    fn store(&self, t: &Tile, acc: &[E]) {
+        let n = self.grid.n;
+        if matches!(self.grid.region, OutRegion::Full) || !t.diag {
+            for (i, row) in acc.chunks_exact(t.cols).enumerate() {
+                // SAFETY: this tile's disjoint output region; a checked
+                // epoch rerun rewrites the same bytes.
                 unsafe {
                     std::ptr::copy_nonoverlapping(
-                        dptr.get().add((i0 + i) * n + j0) as *const E,
-                        row.as_mut_ptr(),
-                        cols,
+                        row.as_ptr(),
+                        self.d.get().add((t.i0 + i) * n + t.j0),
+                        t.cols,
                     );
                 }
             }
-            DPU.with(|dpu| {
-                let mut dpu = dpu.borrow_mut();
-                let mut kb = ke0;
-                while kb < ke1 {
-                    let kbend = (kb + plan.kc1).min(ke1);
-                    E::execute_panel(
-                        &mut dpu, &pa, &pb, i0, rows, j0, cols, kb, kbend, frag.k, acc,
-                    );
-                    kb = kbend;
+            return;
+        }
+        for i in 0..t.rows {
+            for j in 0..t.cols {
+                let (gi, gj) = (t.i0 + i, t.j0 + j);
+                if !self.grid.region.writes(gi, gj) {
+                    continue;
                 }
-            });
-            // Epilogue. Off-diagonal triangular tiles lie entirely inside
-            // the triangle, so they (like full-region tiles) bulk-store;
-            // only diagonal tiles pay per-element predication.
-            let bulk = match region {
-                OutRegion::Full => true,
-                OutRegion::Tri(_) => ti != tj,
-            };
-            if bulk {
-                for (i, row) in acc.chunks_exact(cols).enumerate() {
-                    // SAFETY: as above — this tile's disjoint region.
-                    unsafe {
-                        std::ptr::copy_nonoverlapping(
-                            row.as_ptr(),
-                            dptr.get().add((i0 + i) * n + j0),
-                            cols,
-                        );
-                    }
+                let mut v = acc[i * t.cols + j];
+                if self.real_diag && gi == gj {
+                    v = E::force_real(v);
                 }
-            } else {
-                for i in 0..rows {
-                    for j in 0..cols {
-                        let (gi, gj) = (i0 + i, j0 + j);
-                        if !region.writes(gi, gj) {
-                            continue;
-                        }
-                        let mut v = acc[i * cols + j];
-                        if force_real_diag && gi == gj {
-                            v = E::force_real(v);
-                        }
-                        // SAFETY: as above — disjoint predicated store.
-                        unsafe {
-                            *dptr.get().add(gi * n + gj) = v;
-                        }
-                    }
+                // SAFETY: as above — disjoint predicated store.
+                unsafe {
+                    *self.d.get().add(gi * n + gj) = v;
                 }
             }
-        });
-        ke0 = ke1;
+        }
     }
-    let exec_ns = t_exec.elapsed().as_nanos() as u64;
 
-    let frags = (tiles.len() * k_chunks) as u64;
-    let stats = fragment_stats(mode, frag).scaled(frags);
-    if let Some(cx) = ctx {
-        cx.counters().record(&GemmSample {
-            mode,
-            stats,
-            tiles: tiles.len() as u64,
-            fragments: frags,
-            // Rule (c) operand traffic at logical dimensions: a rank-k
-            // update reads op(A) twice (n·k each way), a SYMM reads the
-            // expanded square operand — the same formula the serve layer
-            // and the analytical model mirror.
-            operand_bytes: ((m * k + k * n) * mode.element_bytes()) as u64,
-            pack_ns,
-            exec_ns,
-        });
-        cx.put_scratch(pa.into_storage(), pb.into_storage());
+    /// One pool epoch: `body(tid, tile)` for every scheduled output tile.
+    fn epoch(&self, pool: &WorkerPool, body: impl Fn(usize, Tile) + Sync) {
+        pool.run(self.grid.len, |tid| body(tid, self.grid.tile(tid)));
     }
-    Ok(GemmResult { d, stats })
+
+    /// The unchecked reduction. L2 epochs: one pool dispatch per
+    /// `kc2`-deep reduction slice, so the whole tile grid consumes one
+    /// L2-resident band of `B`'s planes before the next band is touched;
+    /// L1 panels inside keep one 8-column slice of `B` resident across a
+    /// tile's rows. Epoch and panel boundaries are fragment boundaries,
+    /// so each tile's chunk sequence is identical to the unblocked loop.
+    fn unchecked(&self, pool: &WorkerPool) {
+        let frag_k = self.grid.frag.k;
+        let plan = KPlan::new(frag_k, self.k, self.grid.n, E::VAL_BYTES);
+        let mut ke0 = 0usize;
+        while ke0 < self.k {
+            let ke1 = (ke0 + plan.kc2).min(self.k);
+            self.epoch(pool, |_, t| {
+                let mut acc = [E::default(); ACC_SCRATCH]; // >= frag.m * frag.n, checked at entry
+                let acc = &mut acc[..t.rows * t.cols];
+                self.seed(&t, acc, ke0 == 0);
+                DPU.with(|dpu| {
+                    let mut dpu = dpu.borrow_mut();
+                    let mut kb = ke0;
+                    while kb < ke1 {
+                        let kbend = (kb + plan.kc1).min(ke1);
+                        E::execute_panel(
+                            &mut dpu, self.pa, self.pb, t.i0, t.rows, t.j0, t.cols, kb, kbend,
+                            frag_k, acc,
+                        );
+                        kb = kbend;
+                    }
+                });
+                self.store(&t, acc);
+            });
+            ke0 = ke1;
+        }
+    }
+
+    /// The checked reduction under `plan`: one pool epoch over the whole
+    /// `K` loop, each k-chunk verified and rolled back on mismatch, lost
+    /// epochs re-submitted (see the [module docs](self)). Returns the
+    /// call's fault summary and the number of tiles left unrecovered.
+    fn checked(&self, pool: &WorkerPool, plan: &FaultPlan) -> (FaultSummary, u64) {
+        let frag_k = self.grid.frag.k;
+        // One salt per driver invocation: a serve-layer retry of this
+        // whole call draws an independent fault schedule.
+        let salt = plan.next_call();
+        // Cumulative telemetry across every epoch attempt.
+        let detected = AtomicU64::new(0);
+        let retries = AtomicU64::new(0);
+        // Per-epoch outcome: tiles that exhausted their attempts, and the
+        // mismatches those tiles could not repair. Reset before each
+        // epoch — a lost epoch's failures get fresh attempts on the
+        // rerun, so only the final epoch's failures count as uncorrected.
+        let failed_tiles = AtomicU64::new(0);
+        let epoch_uncorrected = AtomicU64::new(0);
+        let mut epoch_ok = false;
+        for epoch_attempt in 0..MAX_EPOCH_ATTEMPTS {
+            failed_tiles.store(0, Ordering::Relaxed);
+            epoch_uncorrected.store(0, Ordering::Relaxed);
+            let task = |tid: usize, t: Tile| {
+                match plan.task_fault(salt, epoch_attempt, tid as u64) {
+                    Some(TaskFault::Stall { millis }) => {
+                        std::thread::sleep(std::time::Duration::from_millis(millis));
+                    }
+                    Some(TaskFault::Panic) => {
+                        panic!("m3xu fault injection: task panic (tile {tid})");
+                    }
+                    None => {}
+                }
+                let mut acc = [E::default(); ACC_SCRATCH]; // >= frag.m * frag.n, checked at entry
+                let acc = &mut acc[..t.rows * t.cols];
+                // Snapshot of the accumulator at each chunk's entry:
+                // restoring it makes a chunk re-execution exactly
+                // idempotent, so a mismatch re-runs only that chunk.
+                let mut seeds = [E::default(); ACC_SCRATCH];
+                let seeds = &mut seeds[..t.rows * t.cols];
+                self.seed(&t, acc, true);
+                let mut tile_detected = 0u64;
+                let mut tile_retries = 0u64;
+                let mut tile_uncorrected = 0u64;
+                let mut tile_failed = false;
+                DPU.with(|dpu| {
+                    let mut dpu = dpu.borrow_mut();
+                    for (ci, k0) in (0..self.k).step_by(frag_k).enumerate() {
+                        let kend = (k0 + frag_k).min(self.k);
+                        seeds.copy_from_slice(acc);
+                        let expected = E::expected_chunk(
+                            self.pa, self.pb, seeds, t.i0, t.rows, t.j0, t.cols, k0, kend,
+                        );
+                        let mut chunk_fails = 0u64;
+                        let mut chunk_ok = false;
+                        for attempt in 0..MAX_TILE_ATTEMPTS {
+                            if attempt > 0 {
+                                acc.copy_from_slice(seeds);
+                            }
+                            // Specials bypass the multiplier array: an
+                            // unverifiable chunk is not a fault target.
+                            let fault = if expected.ok {
+                                plan.mma_fault(salt, epoch_attempt, tid as u64, ci as u64, attempt)
+                            } else {
+                                None
+                            };
+                            let computed = E::execute_checked(
+                                &mut dpu,
+                                self.pa,
+                                self.pb,
+                                t.i0,
+                                t.rows,
+                                t.j0,
+                                t.cols,
+                                k0,
+                                frag_k,
+                                acc,
+                                fault.as_ref(),
+                            );
+                            if expected.matches(&computed) {
+                                chunk_ok = true;
+                                break;
+                            }
+                            chunk_fails += 1;
+                        }
+                        tile_detected += chunk_fails;
+                        if chunk_ok {
+                            // Every detection triggered one repairing rerun.
+                            tile_retries += chunk_fails;
+                        } else {
+                            tile_retries += chunk_fails.saturating_sub(1);
+                            tile_uncorrected += chunk_fails;
+                            tile_failed = true;
+                            break;
+                        }
+                    }
+                });
+                detected.fetch_add(tile_detected, Ordering::Relaxed);
+                retries.fetch_add(tile_retries, Ordering::Relaxed);
+                if tile_failed {
+                    epoch_uncorrected.fetch_add(tile_uncorrected, Ordering::Relaxed);
+                    failed_tiles.fetch_add(1, Ordering::Relaxed);
+                } else {
+                    self.store(&t, acc);
+                }
+            };
+            // An injected task panic (or a worker killed mid-epoch)
+            // surfaces as a panic out of `run` once the epoch has
+            // drained; catch it and re-submit rather than unwinding
+            // through the caller.
+            match catch_unwind(AssertUnwindSafe(|| self.epoch(pool, task))) {
+                Ok(()) => {
+                    epoch_ok = true;
+                    break;
+                }
+                Err(_) => {
+                    detected.fetch_add(1, Ordering::Relaxed);
+                    if epoch_attempt + 1 < MAX_EPOCH_ATTEMPTS {
+                        retries.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            }
+        }
+        let detected = detected.load(Ordering::Relaxed);
+        let (failed, uncorrected) = if epoch_ok {
+            (
+                failed_tiles.load(Ordering::Relaxed),
+                epoch_uncorrected.load(Ordering::Relaxed),
+            )
+        } else {
+            // Epochs exhausted: the whole grid is suspect, and the final
+            // lost epoch is the one detection nothing repaired.
+            (self.grid.len as u64, 1)
+        };
+        let summary = FaultSummary {
+            detected,
+            corrected: detected - uncorrected,
+            retries: retries.load(Ordering::Relaxed),
+        };
+        (summary, failed)
+    }
 }
 
-/// The ABFT-checked BLAS-3 driver: [`try_blas3_packed`]'s surface with
-/// the per-k-chunk checksum verification and hierarchical recovery of
-/// [`crate::gemm::try_gemm_abft`] (chunk-level rollback/re-execution up
-/// to [`MAX_TILE_ATTEMPTS`], epoch re-submission up to
-/// [`MAX_EPOCH_ATTEMPTS`], typed [`M3xuError::FaultDetected`] beyond).
-///
-/// The expected checksums read the **packed** planes, so alpha folding,
-/// op/mirror views, and quantisation are already on both sides of the
-/// comparison; a triangular region verifies only its `T(T+1)/2`
-/// scheduled tiles. Tile seeds are recomputed **in-task** from `beta`
-/// and `C` (a pure function), so a lost pool epoch re-submits the whole
-/// grid without any partially-written `D` state leaking into the rerun —
-/// every rerun is exactly idempotent. Out-of-region positions of a
-/// diagonal tile seed the untouched `C` canary values; they participate
-/// in the chunk checksum like any other accumulator lane but are
-/// discarded by the predicated store.
-#[allow(clippy::too_many_arguments)]
-fn try_blas3_abft<E, SA, SB>(
+/// The packed driver: run `call` on `pool`, checked under `plan` when one
+/// is given. With a context attached, the packed operands borrow its
+/// scratch arena and the call's accounting (fragment grid, operand
+/// traffic, per-phase wall time, fault telemetry) lands in its counters.
+pub(crate) fn run<E, SA, SB>(
     pool: &WorkerPool,
-    op_name: &'static str,
-    mode: MxuMode,
-    a: &SA,
-    b: &SB,
-    alpha: E::Scalar,
-    beta: E::Scalar,
-    c: &Matrix<E>,
-    region: OutRegion,
-    force_real_diag: bool,
     ctx: Option<&M3xuContext>,
-    plan: &FaultPlan,
+    plan: Option<&FaultPlan>,
+    call: PackedCall<'_, E, SA, SB>,
 ) -> Result<(GemmResult<E>, FaultSummary), M3xuError>
 where
-    E: Blas3Elem + AbftElem,
+    E: PackedElem,
     SA: MatSource<E>,
     SB: MatSource<E>,
 {
+    let PackedCall {
+        op,
+        mode,
+        a,
+        b,
+        alpha,
+        beta,
+        c,
+        region,
+        real_diag,
+    } = call;
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    if b.rows() != k {
-        return Err(M3xuError::ShapeMismatch {
-            context: "blas3(B): inner dimensions must agree",
-            expected: (k, n),
-            got: (b.rows(), n),
-        });
-    }
-    if (c.rows(), c.cols()) != (m, n) {
-        return Err(M3xuError::ShapeMismatch {
-            context: "blas3(C): C must be m x n",
-            expected: (m, n),
-            got: (c.rows(), c.cols()),
-        });
-    }
-
+    validate_gemm_shapes(a, b, c)?;
     let frag = MmaShape::BASELINE_FP16.for_mode(mode);
     if frag.m * frag.n > ACC_SCRATCH {
+        // The per-tile accumulator is a fixed stack array; a fragment
+        // shape that outgrows it must be rejected up front, not trusted
+        // to a slice-bounds panic inside a pooled task.
         return Err(M3xuError::FragmentOverflow {
             needed: frag.m * frag.n,
             capacity: ACC_SCRATCH,
         });
     }
-    let (tiles_m, tiles_n, k_chunks) = frag.grid(m, n, k);
-
-    let beta_unit = E::is_unit(beta);
-    let beta_zero = E::is_zero(beta);
-    // The beta-folded seed of output element (gi, gj): a pure function of
-    // the inputs, shared by the degenerate k = 0 path and the in-task
-    // tile seeding, so epoch reruns always start from identical state.
-    let seed_at = |gi: usize, gj: usize| -> E {
-        if !region.writes(gi, gj) {
-            c.get(gi, gj)
-        } else if force_real_diag && gi == gj {
-            E::real_diag_seed(beta, c.get(gi, gj))
-        } else if beta_zero {
-            E::default()
-        } else if beta_unit {
-            c.get(gi, gj)
-        } else {
-            E::scale(beta, c.get(gi, gj))
-        }
-    };
-
-    let mut d = c.clone();
+    let k_chunks = k.div_ceil(frag.k);
+    let base = seed_base(c, beta, region, real_diag);
+    let mut d = base.clone().into_owned();
     if k_chunks == 0 || m == 0 || n == 0 {
-        if !beta_unit || force_real_diag {
-            for i in 0..m {
-                for j in 0..n {
-                    if region.writes(i, j) {
-                        d.set(i, j, seed_at(i, j));
-                    }
-                }
-            }
-        }
+        // A degenerate call still counts as a call; it moves no operand
+        // bytes and issues no fragments. `D` is the beta-folded `C`.
         if let Some(cx) = ctx {
             cx.counters().record(&GemmSample {
                 mode,
@@ -596,282 +1003,90 @@ where
         ));
     }
 
-    let tiles: Vec<(usize, usize)> = match region {
-        OutRegion::Full => (0..tiles_m)
-            .flat_map(|ti| (0..tiles_n).map(move |tj| (ti, tj)))
-            .collect(),
-        OutRegion::Tri(tri) => (0..tiles_m)
-            .flat_map(|ti| (0..tiles_n).map(move |tj| (ti, tj)))
-            .filter(|&(ti, tj)| match tri {
-                Triangle::Lower => tj <= ti,
-                Triangle::Upper => ti <= tj,
-            })
-            .collect(),
-    };
-
-    let (sa, sb) = match ctx {
-        Some(cx) => cx.take_scratch(),
-        None => (PackedStorage::default(), PackedStorage::default()),
-    };
+    // Decode each operand exactly once for the whole call — entry planes
+    // *and* the value mirrors the SIMD row kernels read — reusing the
+    // context's packed-operand arena when one is attached.
+    let (sa, sb) = ctx.map_or_else(Default::default, M3xuContext::take_scratch);
     let t_pack = Instant::now();
-    let pa = E::pack_rows_src(a, alpha, mode, sa);
-    let pb = E::pack_cols_src(b, mode, sb);
+    let pa = E::pack_rows(a, alpha, mode, sa)?;
+    let pb = E::pack_cols(b, mode, sb)?;
     let pack_ns = t_pack.elapsed().as_nanos() as u64;
 
-    // One salt per driver invocation: a serve-layer retry of this whole
-    // call draws an independent fault schedule.
-    let salt = plan.next_call();
-
-    let detected = AtomicU64::new(0);
-    let retries = AtomicU64::new(0);
-    let failed_tiles = AtomicU64::new(0);
-    let epoch_uncorrected = AtomicU64::new(0);
-
-    let dptr = SendPtr(d.as_mut_slice().as_mut_ptr());
+    let pass = Pass {
+        grid: TileGrid::new(frag, m, n, region),
+        pa: &pa,
+        pb: &pb,
+        k,
+        base: &base,
+        d: SendPtr(d.as_mut_slice().as_mut_ptr()),
+        real_diag,
+    };
     let t_exec = Instant::now();
-    let mut epoch_ok = false;
-    for epoch_attempt in 0..MAX_EPOCH_ATTEMPTS {
-        failed_tiles.store(0, Ordering::Relaxed);
-        epoch_uncorrected.store(0, Ordering::Relaxed);
-        let task = |tid: usize| {
-            match plan.task_fault(salt, epoch_attempt, tid as u64) {
-                Some(TaskFault::Stall { millis }) => {
-                    std::thread::sleep(std::time::Duration::from_millis(millis));
-                }
-                Some(TaskFault::Panic) => {
-                    panic!("m3xu fault injection: task panic (tile {tid})");
-                }
-                None => {}
-            }
-            let (ti, tj) = tiles[tid];
-            let (i0, j0) = (ti * frag.m, tj * frag.n);
-            let rows = frag.m.min(m - i0);
-            let cols = frag.n.min(n - j0);
-            let mut acc = [E::default(); ACC_SCRATCH]; // >= frag.m * frag.n, checked at entry
-            let acc = &mut acc[..rows * cols];
-            let mut seeds = [E::default(); ACC_SCRATCH];
-            let seeds = &mut seeds[..rows * cols];
-            for i in 0..rows {
-                for j in 0..cols {
-                    acc[i * cols + j] = seed_at(i0 + i, j0 + j);
-                }
-            }
-            let mut tile_detected = 0u64;
-            let mut tile_retries = 0u64;
-            let mut tile_uncorrected = 0u64;
-            let mut tile_failed = false;
-            DPU.with(|dpu| {
-                let mut dpu = dpu.borrow_mut();
-                for (ci, k0) in (0..k).step_by(frag.k).enumerate() {
-                    let kend = (k0 + frag.k).min(k);
-                    seeds.copy_from_slice(acc);
-                    let expected = E::expected_chunk(&pa, &pb, seeds, i0, rows, j0, cols, k0, kend);
-                    let mut chunk_fails = 0u64;
-                    let mut chunk_ok = false;
-                    for attempt in 0..MAX_TILE_ATTEMPTS {
-                        if attempt > 0 {
-                            acc.copy_from_slice(seeds);
-                        }
-                        // Specials bypass the multiplier array: an
-                        // unverifiable chunk is not a fault target.
-                        let fault = if expected.ok {
-                            plan.mma_fault(salt, epoch_attempt, tid as u64, ci as u64, attempt)
-                        } else {
-                            None
-                        };
-                        let computed = E::execute_checked(
-                            &mut dpu,
-                            &pa,
-                            &pb,
-                            i0,
-                            rows,
-                            j0,
-                            cols,
-                            k0,
-                            frag.k,
-                            acc,
-                            fault.as_ref(),
-                        );
-                        if expected.matches(&computed) {
-                            chunk_ok = true;
-                            break;
-                        }
-                        chunk_fails += 1;
-                    }
-                    tile_detected += chunk_fails;
-                    if chunk_ok {
-                        tile_retries += chunk_fails;
-                    } else {
-                        tile_retries += chunk_fails.saturating_sub(1);
-                        tile_uncorrected += chunk_fails;
-                        tile_failed = true;
-                        break;
-                    }
-                }
-            });
-            detected.fetch_add(tile_detected, Ordering::Relaxed);
-            retries.fetch_add(tile_retries, Ordering::Relaxed);
-            if tile_failed {
-                epoch_uncorrected.fetch_add(tile_uncorrected, Ordering::Relaxed);
-                failed_tiles.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-            let bulk = match region {
-                OutRegion::Full => true,
-                OutRegion::Tri(_) => ti != tj,
-            };
-            if bulk {
-                for (i, row) in acc.chunks_exact(cols).enumerate() {
-                    // SAFETY: this tile owns its disjoint output region,
-                    // the pointer outlives the pool run, and epoch reruns
-                    // rewrite the same bytes.
-                    unsafe {
-                        std::ptr::copy_nonoverlapping(
-                            row.as_ptr(),
-                            dptr.get().add((i0 + i) * n + j0),
-                            cols,
-                        );
-                    }
-                }
-            } else {
-                for i in 0..rows {
-                    for j in 0..cols {
-                        let (gi, gj) = (i0 + i, j0 + j);
-                        if !region.writes(gi, gj) {
-                            continue;
-                        }
-                        let mut v = acc[i * cols + j];
-                        if force_real_diag && gi == gj {
-                            v = E::force_real(v);
-                        }
-                        // SAFETY: as above — disjoint predicated store.
-                        unsafe {
-                            *dptr.get().add(gi * n + gj) = v;
-                        }
-                    }
-                }
-            }
-        };
-        // An injected task panic (or a worker killed mid-epoch) surfaces
-        // as a panic out of `run` once the epoch has drained; catch it
-        // and re-submit rather than unwinding through the caller.
-        match catch_unwind(AssertUnwindSafe(|| pool.run(tiles.len(), task))) {
-            Ok(()) => {
-                epoch_ok = true;
-                break;
-            }
-            Err(_) => {
-                detected.fetch_add(1, Ordering::Relaxed);
-                if epoch_attempt + 1 < MAX_EPOCH_ATTEMPTS {
-                    retries.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+    let (summary, failed) = match plan {
+        None => {
+            pass.unchecked(pool);
+            (FaultSummary::default(), 0)
         }
-    }
+        Some(plan) => pass.checked(pool, plan),
+    };
     let exec_ns = t_exec.elapsed().as_nanos() as u64;
 
-    let detected = detected.load(Ordering::Relaxed);
-    let retries = retries.load(Ordering::Relaxed);
-    let (failed, uncorrected) = if epoch_ok {
-        (
-            failed_tiles.load(Ordering::Relaxed),
-            epoch_uncorrected.load(Ordering::Relaxed),
-        )
-    } else {
-        (tiles.len() as u64, 1)
-    };
-    let summary = FaultSummary {
-        detected,
-        corrected: detected - uncorrected,
-        retries,
-    };
-
-    if let Some(cx) = ctx {
-        cx.counters().record_faults(&summary);
-    }
-    if failed > 0 {
-        if let Some(cx) = ctx {
-            cx.put_scratch(pa.into_storage(), pb.into_storage());
-        }
-        return Err(M3xuError::FaultDetected {
-            op: op_name,
-            mode,
-            tiles: failed as usize,
-            detected,
-            corrected: summary.corrected,
-            retries,
-        });
-    }
-
-    // The production sample: a pure function of the fragment grid,
-    // bit-identical accounting to the unchecked BLAS-3 driver.
-    let frags = (tiles.len() * k_chunks) as u64;
+    // Statistics are a pure function of the fragment grid — identical to
+    // what per-fragment counters would sum to, and not inflated by
+    // checked re-executions.
+    let tiles = pass.grid.len;
+    let frags = (tiles * k_chunks) as u64;
     let stats = fragment_stats(mode, frag).scaled(frags);
     if let Some(cx) = ctx {
-        cx.counters().record(&GemmSample {
-            mode,
-            stats,
-            tiles: tiles.len() as u64,
-            fragments: frags,
-            operand_bytes: ((m * k + k * n) * mode.element_bytes()) as u64,
-            pack_ns,
-            exec_ns,
-        });
+        if plan.is_some() {
+            cx.counters().record_faults(&summary);
+        }
+        if failed == 0 {
+            cx.counters().record(&GemmSample {
+                mode,
+                stats,
+                tiles: tiles as u64,
+                fragments: frags,
+                // Rule (c) operand traffic at logical dimensions and the
+                // mode's storage width (2 bytes FP16/BF16, 4 bytes
+                // TF32/FP32, 8 bytes FP32C), not at `size_of::<E>()`: a
+                // rank-k update reads op(A) twice, a SYMM reads the
+                // expanded square operand.
+                operand_bytes: ((m * k + k * n) * mode.element_bytes()) as u64,
+                pack_ns,
+                exec_ns,
+            });
+        }
         cx.put_scratch(pa.into_storage(), pb.into_storage());
+    }
+    if failed > 0 {
+        return Err(M3xuError::FaultDetected {
+            op,
+            mode,
+            tiles: failed as usize,
+            detected: summary.detected,
+            corrected: summary.corrected,
+            retries: summary.retries,
+        });
     }
     Ok((GemmResult { d, stats }, summary))
 }
 
-/// Route a BLAS-3 call through the checked driver when the context has an
-/// armed fault plan, the production driver otherwise — the single policy
-/// seam every `*_faulted_ctx` body below goes through.
-#[allow(clippy::too_many_arguments)]
-fn try_blas3_routed<E, SA, SB>(
+/// Run `call` on `ctx`, checked under `plan` when one is given and
+/// otherwise under the context's own armed plan, if any — the one place
+/// a GEMM-family call picks its fault plan.
+pub(crate) fn run_on<E, SA, SB>(
     ctx: &M3xuContext,
-    op_name: &'static str,
-    mode: MxuMode,
-    a: &SA,
-    b: &SB,
-    alpha: E::Scalar,
-    beta: E::Scalar,
-    c: &Matrix<E>,
-    region: OutRegion,
-    force_real_diag: bool,
+    plan: Option<&FaultPlan>,
+    call: PackedCall<'_, E, SA, SB>,
 ) -> Result<(GemmResult<E>, FaultSummary), M3xuError>
 where
-    E: Blas3Elem + AbftElem,
+    E: PackedElem,
     SA: MatSource<E>,
     SB: MatSource<E>,
 {
-    match ctx.fault_plan() {
-        Some(plan) => try_blas3_abft(
-            ctx.pool(),
-            op_name,
-            mode,
-            a,
-            b,
-            alpha,
-            beta,
-            c,
-            region,
-            force_real_diag,
-            Some(ctx),
-            plan,
-        ),
-        None => try_blas3_packed(
-            ctx.pool(),
-            mode,
-            a,
-            b,
-            alpha,
-            beta,
-            c,
-            region,
-            force_real_diag,
-            Some(ctx),
-        )
-        .map(|r| (r, FaultSummary::default())),
-    }
+    let plan = plan.or(ctx.fault_plan().map(|p| &**p));
+    run(ctx.pool(), Some(ctx), plan, call)
 }
 
 /// The transpose of `op(A)` for a real rank-k update's second operand
@@ -884,27 +1099,12 @@ fn syrk_b_op(op: MatOp) -> MatOp {
 }
 
 // ---------------------------------------------------------------------------
-// Context-attached bodies (the `M3xuContext` methods delegate here).
+// Context-attached bodies (the `M3xuContext` methods delegate here), each
+// returning the invocation's `FaultSummary`.
 // ---------------------------------------------------------------------------
 
-/// Context-attached op-GEMM: `D = alpha·op(A)·op(B) + beta·C` on an f32
+/// Context-attached op-GEMM `D = alpha·op(A)·op(B) + beta·C` on an f32
 /// engine.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn try_gemm_op_f32_ctx(
-    ctx: &M3xuContext,
-    precision: GemmPrecision,
-    op_a: MatOp,
-    a: &Matrix<f32>,
-    op_b: MatOp,
-    b: &Matrix<f32>,
-    alpha: f32,
-    beta: f32,
-    c: &Matrix<f32>,
-) -> Result<GemmResult<f32>, M3xuError> {
-    try_gemm_op_f32_faulted_ctx(ctx, precision, op_a, a, op_b, b, alpha, beta, c).map(|(r, _)| r)
-}
-
-/// [`try_gemm_op_f32_ctx`] with the invocation's [`FaultSummary`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn try_gemm_op_f32_faulted_ctx(
     ctx: &M3xuContext,
@@ -918,36 +1118,12 @@ pub(crate) fn try_gemm_op_f32_faulted_ctx(
     c: &Matrix<f32>,
 ) -> Result<(GemmResult<f32>, FaultSummary), M3xuError> {
     check_precision(precision, true, "gemm_op_f32")?;
-    try_blas3_routed(
-        ctx,
-        "gemm_op",
-        precision.mode(),
-        &OpView::new(a, op_a),
-        &OpView::new(b, op_b),
-        alpha,
-        beta,
-        c,
-        OutRegion::Full,
-        false,
-    )
+    let (a, b) = (&OpView::new(a, op_a), &OpView::new(b, op_b));
+    let call = PackedCall::full("gemm_op", precision.mode(), a, b, alpha, beta, c);
+    run_on(ctx, None, call)
 }
 
 /// Context-attached complex op-GEMM on the FP32C engine.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn try_cgemm_op_c32_ctx(
-    ctx: &M3xuContext,
-    op_a: MatOp,
-    a: &Matrix<Complex<f32>>,
-    op_b: MatOp,
-    b: &Matrix<Complex<f32>>,
-    alpha: Complex<f32>,
-    beta: Complex<f32>,
-    c: &Matrix<Complex<f32>>,
-) -> Result<GemmResult<Complex<f32>>, M3xuError> {
-    try_cgemm_op_c32_faulted_ctx(ctx, op_a, a, op_b, b, alpha, beta, c).map(|(r, _)| r)
-}
-
-/// [`try_cgemm_op_c32_ctx`] with the invocation's [`FaultSummary`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn try_cgemm_op_c32_faulted_ctx(
     ctx: &M3xuContext,
@@ -959,37 +1135,12 @@ pub(crate) fn try_cgemm_op_c32_faulted_ctx(
     beta: Complex<f32>,
     c: &Matrix<Complex<f32>>,
 ) -> Result<(GemmResult<Complex<f32>>, FaultSummary), M3xuError> {
-    try_blas3_routed(
-        ctx,
-        "cgemm_op",
-        MxuMode::M3xuFp32c,
-        &OpView::new(a, op_a),
-        &OpView::new(b, op_b),
-        alpha,
-        beta,
-        c,
-        OutRegion::Full,
-        false,
-    )
+    let (a, b) = (&OpView::new(a, op_a), &OpView::new(b, op_b));
+    let call = PackedCall::full("cgemm_op", MxuMode::M3xuFp32c, a, b, alpha, beta, c);
+    run_on(ctx, None, call)
 }
 
 /// Context-attached emulated-FP64 op-GEMM.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn try_gemm_op_f64_ctx(
-    ctx: &M3xuContext,
-    precision: GemmPrecision,
-    op_a: MatOp,
-    a: &Matrix<f64>,
-    op_b: MatOp,
-    b: &Matrix<f64>,
-    alpha: f64,
-    beta: f64,
-    c: &Matrix<f64>,
-) -> Result<GemmResult<f64>, M3xuError> {
-    try_gemm_op_f64_faulted_ctx(ctx, precision, op_a, a, op_b, b, alpha, beta, c).map(|(r, _)| r)
-}
-
-/// [`try_gemm_op_f64_ctx`] with the invocation's [`FaultSummary`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn try_gemm_op_f64_faulted_ctx(
     ctx: &M3xuContext,
@@ -1003,37 +1154,13 @@ pub(crate) fn try_gemm_op_f64_faulted_ctx(
     c: &Matrix<f64>,
 ) -> Result<(GemmResult<f64>, FaultSummary), M3xuError> {
     check_precision(precision, false, "gemm_op_f64")?;
-    try_blas3_routed(
-        ctx,
-        "gemm_op_f64",
-        precision.mode(),
-        &OpView::new(a, op_a),
-        &OpView::new(b, op_b),
-        alpha,
-        beta,
-        c,
-        OutRegion::Full,
-        false,
-    )
+    let (a, b) = (&OpView::new(a, op_a), &OpView::new(b, op_b));
+    let call = PackedCall::full("gemm_op_f64", precision.mode(), a, b, alpha, beta, c);
+    run_on(ctx, None, call)
 }
 
-/// Context-attached SYRK: `C := alpha·op(A)·op(A)^T + beta·C`, writing
+/// Context-attached SYRK `C := alpha·op(A)·op(A)^T + beta·C`, writing
 /// only the `tri` triangle of `C`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn try_syrk_f32_ctx(
-    ctx: &M3xuContext,
-    precision: GemmPrecision,
-    tri: Triangle,
-    op_a: MatOp,
-    a: &Matrix<f32>,
-    alpha: f32,
-    beta: f32,
-    c: &Matrix<f32>,
-) -> Result<GemmResult<f32>, M3xuError> {
-    try_syrk_f32_faulted_ctx(ctx, precision, tri, op_a, a, alpha, beta, c).map(|(r, _)| r)
-}
-
-/// [`try_syrk_f32_ctx`] with the invocation's [`FaultSummary`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn try_syrk_f32_faulted_ctx(
     ctx: &M3xuContext,
@@ -1046,39 +1173,18 @@ pub(crate) fn try_syrk_f32_faulted_ctx(
     c: &Matrix<f32>,
 ) -> Result<(GemmResult<f32>, FaultSummary), M3xuError> {
     check_precision(precision, true, "syrk_f32")?;
-    try_blas3_routed(
-        ctx,
-        "syrk",
-        precision.mode(),
-        &OpView::new(a, op_a),
-        &OpView::new(a, syrk_b_op(op_a)),
-        alpha,
-        beta,
-        c,
-        OutRegion::Tri(tri),
-        false,
-    )
+    let (a, b) = (&OpView::new(a, op_a), &OpView::new(a, syrk_b_op(op_a)));
+    let call = PackedCall {
+        region: OutRegion::Tri(tri),
+        ..PackedCall::full("syrk", precision.mode(), a, b, alpha, beta, c)
+    };
+    run_on(ctx, None, call)
 }
 
-/// Context-attached HERK: `C := alpha·op(A)·op(A)^H + beta·C` with real
+/// Context-attached HERK `C := alpha·op(A)·op(A)^H + beta·C` with real
 /// `alpha`/`beta`, writing only the `tri` triangle; diagonal entries are
 /// exactly real on output (BLAS convention). `op_a` must be `N` or `H` —
 /// `T` has no Hermitian-rank-k meaning and is rejected.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn try_herk_c32_ctx(
-    ctx: &M3xuContext,
-    tri: Triangle,
-    op_a: MatOp,
-    a: &Matrix<Complex<f32>>,
-    alpha: f32,
-    beta: f32,
-    c: &Matrix<Complex<f32>>,
-) -> Result<GemmResult<Complex<f32>>, M3xuError> {
-    try_herk_c32_faulted_ctx(ctx, tri, op_a, a, alpha, beta, c).map(|(r, _)| r)
-}
-
-/// [`try_herk_c32_ctx`] with the invocation's [`FaultSummary`].
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn try_herk_c32_faulted_ctx(
     ctx: &M3xuContext,
     tri: Triangle,
@@ -1098,39 +1204,19 @@ pub(crate) fn try_herk_c32_faulted_ctx(
             })
         }
     };
-    try_blas3_routed(
-        ctx,
-        "herk",
-        MxuMode::M3xuFp32c,
-        &OpView::new(a, op_a),
-        &OpView::new(a, b_op),
-        Complex::new(alpha, 0.0),
-        Complex::new(beta, 0.0),
-        c,
-        OutRegion::Tri(tri),
-        true,
-    )
+    let (a, b) = (&OpView::new(a, op_a), &OpView::new(a, b_op));
+    let (alpha, beta) = (Complex::new(alpha, 0.0), Complex::new(beta, 0.0));
+    let call = PackedCall {
+        region: OutRegion::Tri(tri),
+        real_diag: true,
+        ..PackedCall::full("herk", MxuMode::M3xuFp32c, a, b, alpha, beta, c)
+    };
+    run_on(ctx, None, call)
 }
 
 /// Context-attached SYMM: `C := alpha·sym(A)·B + beta·C` (Left) or
 /// `C := alpha·B·sym(A) + beta·C` (Right), where `sym(A)` expands the
 /// `tri`-stored triangle of the square matrix `A` on the fly.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn try_symm_f32_ctx(
-    ctx: &M3xuContext,
-    precision: GemmPrecision,
-    side: Side,
-    tri: Triangle,
-    a: &Matrix<f32>,
-    b: &Matrix<f32>,
-    alpha: f32,
-    beta: f32,
-    c: &Matrix<f32>,
-) -> Result<GemmResult<f32>, M3xuError> {
-    try_symm_f32_faulted_ctx(ctx, precision, side, tri, a, b, alpha, beta, c).map(|(r, _)| r)
-}
-
-/// [`try_symm_f32_ctx`] with the invocation's [`FaultSummary`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn try_symm_f32_faulted_ctx(
     ctx: &M3xuContext,
@@ -1151,53 +1237,26 @@ pub(crate) fn try_symm_f32_faulted_ctx(
             got: (a.rows(), a.cols()),
         });
     }
-    let sym = MirrorView::new(a, tri, false);
+    let sym = &MirrorView::new(a, tri, false);
+    let mode = precision.mode();
     match side {
-        Side::Left => try_blas3_routed(
+        Side::Left => run_on(
             ctx,
-            "symm",
-            precision.mode(),
-            &sym,
-            b,
-            alpha,
-            beta,
-            c,
-            OutRegion::Full,
-            false,
+            None,
+            PackedCall::full("symm", mode, sym, b, alpha, beta, c),
         ),
-        Side::Right => try_blas3_routed(
+        Side::Right => run_on(
             ctx,
-            "symm",
-            precision.mode(),
-            b,
-            &sym,
-            alpha,
-            beta,
-            c,
-            OutRegion::Full,
-            false,
+            None,
+            PackedCall::full("symm", mode, b, sym, alpha, beta, c),
         ),
     }
 }
 
 /// Context-attached HEMM: the Hermitian counterpart of
-/// [`try_symm_f32_ctx`] on the FP32C engine. The mirror conjugates across
-/// the diagonal and reads diagonal entries as real (BLAS convention).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn try_hemm_c32_ctx(
-    ctx: &M3xuContext,
-    side: Side,
-    tri: Triangle,
-    a: &Matrix<Complex<f32>>,
-    b: &Matrix<Complex<f32>>,
-    alpha: Complex<f32>,
-    beta: Complex<f32>,
-    c: &Matrix<Complex<f32>>,
-) -> Result<GemmResult<Complex<f32>>, M3xuError> {
-    try_hemm_c32_faulted_ctx(ctx, side, tri, a, b, alpha, beta, c).map(|(r, _)| r)
-}
-
-/// [`try_hemm_c32_ctx`] with the invocation's [`FaultSummary`].
+/// [`try_symm_f32_faulted_ctx`] on the FP32C engine. The mirror
+/// conjugates across the diagonal and reads diagonal entries as real
+/// (BLAS convention).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn try_hemm_c32_faulted_ctx(
     ctx: &M3xuContext,
@@ -1216,31 +1275,18 @@ pub(crate) fn try_hemm_c32_faulted_ctx(
             got: (a.rows(), a.cols()),
         });
     }
-    let herm = MirrorView::new(a, tri, true);
+    let herm = &MirrorView::new(a, tri, true);
+    let mode = MxuMode::M3xuFp32c;
     match side {
-        Side::Left => try_blas3_routed(
+        Side::Left => run_on(
             ctx,
-            "hemm",
-            MxuMode::M3xuFp32c,
-            &herm,
-            b,
-            alpha,
-            beta,
-            c,
-            OutRegion::Full,
-            false,
+            None,
+            PackedCall::full("hemm", mode, herm, b, alpha, beta, c),
         ),
-        Side::Right => try_blas3_routed(
+        Side::Right => run_on(
             ctx,
-            "hemm",
-            MxuMode::M3xuFp32c,
-            b,
-            &herm,
-            alpha,
-            beta,
-            c,
-            OutRegion::Full,
-            false,
+            None,
+            PackedCall::full("hemm", mode, b, herm, alpha, beta, c),
         ),
     }
 }

@@ -338,8 +338,9 @@ impl M3xuContext {
     }
 
     /// Arm this context with an explicit fault-injection plan, overriding
-    /// whatever the environment resolved. FP32 / FP32C GEMMs then run the
-    /// ABFT-checked self-healing driver; every other engine is untouched.
+    /// whatever the environment resolved. Every GEMM-family call (plain
+    /// GEMM in every precision, FP32C, emulated FP64, and the BLAS-3
+    /// surface) then runs ABFT-checked and self-healing.
     pub fn with_fault_plan(mut self, plan: Arc<FaultPlan>) -> Self {
         self.fault = Some(plan);
         self
@@ -435,7 +436,8 @@ impl M3xuContext {
         b: &Matrix<f32>,
         c: &Matrix<f32>,
     ) -> Result<GemmResult<f32>, M3xuError> {
-        gemm::try_gemm_f32_ctx(self, precision, a, b, c)
+        self.try_gemm_f32_faulted(precision, a, b, c)
+            .map(|(r, _)| r)
     }
 
     /// [`M3xuContext::try_gemm_f32`], panicking on invalid shapes.
@@ -458,7 +460,7 @@ impl M3xuContext {
         b: &Matrix<C32>,
         c: &Matrix<C32>,
     ) -> Result<GemmResult<C32>, M3xuError> {
-        gemm::try_cgemm_c32_ctx(self, a, b, c)
+        self.try_cgemm_c32_faulted(a, b, c).map(|(r, _)| r)
     }
 
     /// [`M3xuContext::try_cgemm_c32`], panicking on invalid shapes.
@@ -480,7 +482,7 @@ impl M3xuContext {
         b: &Matrix<f32>,
         c: &Matrix<f32>,
     ) -> Result<(GemmResult<f32>, FaultSummary), M3xuError> {
-        gemm::try_gemm_f32_faulted_ctx(self, precision, a, b, c)
+        gemm::try_gemm_f32_faulted_ctx(self, None, precision, a, b, c)
     }
 
     /// [`M3xuContext::try_cgemm_c32`] with fault telemetry; see
@@ -491,7 +493,7 @@ impl M3xuContext {
         b: &Matrix<C32>,
         c: &Matrix<C32>,
     ) -> Result<(GemmResult<C32>, FaultSummary), M3xuError> {
-        gemm::try_cgemm_c32_faulted_ctx(self, a, b, c)
+        gemm::try_cgemm_c32_faulted_ctx(self, None, a, b, c)
     }
 
     /// [`M3xuContext::try_gemm_f64`] with fault telemetry; see
@@ -517,7 +519,8 @@ impl M3xuContext {
         b: &Matrix<f64>,
         c: &Matrix<f64>,
     ) -> Result<GemmResult<f64>, M3xuError> {
-        gemm::try_gemm_f64_ctx(self, precision, a, b, c)
+        self.try_gemm_f64_faulted(precision, a, b, c)
+            .map(|(r, _)| r)
     }
 
     /// [`M3xuContext::try_gemm_f64`], panicking on invalid shapes or
@@ -582,7 +585,8 @@ impl M3xuContext {
         beta: f32,
         c: &Matrix<f32>,
     ) -> Result<GemmResult<f32>, M3xuError> {
-        blas3::try_gemm_op_f32_ctx(self, precision, op_a, a, op_b, b, alpha, beta, c)
+        self.try_gemm_op_f32_faulted(precision, op_a, a, op_b, b, alpha, beta, c)
+            .map(|(r, _)| r)
     }
 
     /// [`M3xuContext::try_gemm_op_f32`] with fault telemetry; see
@@ -634,7 +638,8 @@ impl M3xuContext {
         beta: C32,
         c: &Matrix<C32>,
     ) -> Result<GemmResult<C32>, M3xuError> {
-        blas3::try_cgemm_op_c32_ctx(self, op_a, a, op_b, b, alpha, beta, c)
+        self.try_cgemm_op_c32_faulted(op_a, a, op_b, b, alpha, beta, c)
+            .map(|(r, _)| r)
     }
 
     /// [`M3xuContext::try_cgemm_op_c32`] with fault telemetry; see
@@ -683,7 +688,8 @@ impl M3xuContext {
         beta: f64,
         c: &Matrix<f64>,
     ) -> Result<GemmResult<f64>, M3xuError> {
-        blas3::try_gemm_op_f64_ctx(self, precision, op_a, a, op_b, b, alpha, beta, c)
+        self.try_gemm_op_f64_faulted(precision, op_a, a, op_b, b, alpha, beta, c)
+            .map(|(r, _)| r)
     }
 
     /// [`M3xuContext::try_gemm_op_f64`] with fault telemetry; see
@@ -736,7 +742,8 @@ impl M3xuContext {
         beta: f32,
         c: &Matrix<f32>,
     ) -> Result<GemmResult<f32>, M3xuError> {
-        blas3::try_syrk_f32_ctx(self, precision, tri, op_a, a, alpha, beta, c)
+        self.try_syrk_f32_faulted(precision, tri, op_a, a, alpha, beta, c)
+            .map(|(r, _)| r)
     }
 
     /// [`M3xuContext::try_syrk_f32`] with fault telemetry — verification
@@ -787,7 +794,8 @@ impl M3xuContext {
         beta: f32,
         c: &Matrix<C32>,
     ) -> Result<GemmResult<C32>, M3xuError> {
-        blas3::try_herk_c32_ctx(self, tri, op_a, a, alpha, beta, c)
+        self.try_herk_c32_faulted(tri, op_a, a, alpha, beta, c)
+            .map(|(r, _)| r)
     }
 
     /// [`M3xuContext::try_herk_c32`] with fault telemetry; see
@@ -835,7 +843,8 @@ impl M3xuContext {
         beta: f32,
         c: &Matrix<f32>,
     ) -> Result<GemmResult<f32>, M3xuError> {
-        blas3::try_symm_f32_ctx(self, precision, side, tri, a, b, alpha, beta, c)
+        self.try_symm_f32_faulted(precision, side, tri, a, b, alpha, beta, c)
+            .map(|(r, _)| r)
     }
 
     /// [`M3xuContext::try_symm_f32`] with fault telemetry; see
@@ -888,7 +897,8 @@ impl M3xuContext {
         beta: C32,
         c: &Matrix<C32>,
     ) -> Result<GemmResult<C32>, M3xuError> {
-        blas3::try_hemm_c32_ctx(self, side, tri, a, b, alpha, beta, c)
+        self.try_hemm_c32_faulted(side, tri, a, b, alpha, beta, c)
+            .map(|(r, _)| r)
     }
 
     /// [`M3xuContext::try_hemm_c32`] with fault telemetry; see

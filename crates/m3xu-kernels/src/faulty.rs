@@ -77,23 +77,14 @@ impl<'c> FaultyExecutor<'c> {
         b: &Matrix<f32>,
         c: &Matrix<f32>,
     ) -> Result<(GemmResult<f32>, FaultSummary), M3xuError> {
-        gemm::check_precision(precision, true, "gemm_f32")?;
-        match &self.plan {
-            Some(plan) => gemm::try_gemm_abft(
-                self.ctx.pool(),
-                "gemm",
-                precision.mode(),
-                a,
-                b,
-                c,
-                Some(self.ctx),
-                plan,
-            ),
-            None => self
-                .ctx
-                .try_gemm_f32(precision, a, b, c)
-                .map(|r| (r, FaultSummary::default())),
-        }
+        self.own(gemm::try_gemm_f32_faulted_ctx(
+            self.ctx,
+            self.plan.as_deref(),
+            precision,
+            a,
+            b,
+            c,
+        ))
     }
 
     /// Complex GEMM with this executor's fault policy; see
@@ -104,22 +95,24 @@ impl<'c> FaultyExecutor<'c> {
         b: &Matrix<C32>,
         c: &Matrix<C32>,
     ) -> Result<(GemmResult<C32>, FaultSummary), M3xuError> {
-        match &self.plan {
-            Some(plan) => gemm::try_gemm_abft(
-                self.ctx.pool(),
-                "cgemm",
-                m3xu_mxu::modes::MxuMode::M3xuFp32c,
-                a,
-                b,
-                c,
-                Some(self.ctx),
-                plan,
-            ),
-            None => self
-                .ctx
-                .try_cgemm_c32(a, b, c)
-                .map(|r| (r, FaultSummary::default())),
-        }
+        self.own(gemm::try_cgemm_c32_faulted_ctx(
+            self.ctx,
+            self.plan.as_deref(),
+            a,
+            b,
+            c,
+        ))
+    }
+
+    /// Report only this executor's own plan: an unarmed executor's
+    /// summary is zero even when the context's own armed plan ran the
+    /// call checked.
+    fn own<T>(
+        &self,
+        run: Result<(GemmResult<T>, FaultSummary), M3xuError>,
+    ) -> Result<(GemmResult<T>, FaultSummary), M3xuError> {
+        let armed = self.plan.is_some();
+        run.map(|(r, s)| (r, if armed { s } else { FaultSummary::default() }))
     }
 }
 

@@ -1,48 +1,40 @@
-//! Tiled GEMM driver over the functional M3XU.
+//! Plain tiled GEMM `D = A·B + C` over the functional M3XU.
 //!
-//! A CUTLASS-style hierarchical GEMM: the output splits into fragment
-//! tiles, each tile's `K` loop issues fragment-shaped MMA executions, and
-//! the epilogue writes back. Real and complex precisions share one generic
-//! driver — exactly the paper's point that "the programming model …
-//! remain\[s\] the same as the existing Tensor Cores".
+//! Real, complex, and emulated-FP64 GEMM share one generic driver —
+//! exactly the paper's point that "the programming model … remain\[s\]
+//! the same as the existing Tensor Cores". Every entry point here is the
+//! instance `op = N`, `alpha = beta = 1`, full output region of the
+//! packed BLAS-3 driver in [`crate::blas3`]: operands decode into
+//! [`PackedOperand`](m3xu_mxu::packed::PackedOperand) planes once per
+//! call, fragments execute in place out of those planes, and the output
+//! tiles distribute over the persistent [`WorkerPool`]. An armed
+//! [`FaultPlan`] runs the same pipeline with per-chunk ABFT verification.
 //!
-//! ## The packed fragment pipeline
-//!
-//! The driver decodes both operands into [`PackedOperand`] buffer-entry
-//! planes **once per GEMM**, then executes every fragment in place out of
-//! those planes ([`m3xu_mxu::packed`]): no tile copies, no per-fragment
-//! `StepPlan` allocation, no re-decoding of `A` per column tile. Work
-//! distributes over the 2-D output-tile grid through the persistent
-//! [`WorkerPool`] (built once per process — the FFT issues thousands of
-//! small CGEMMs, where per-call thread spawn used to dominate). Results
-//! are bit-identical to the original per-tile path, kept alive in
-//! [`baseline`] as the differential-test and benchmark reference.
+//! The original per-tile path is kept alive in [`baseline`] as the
+//! differential-test and benchmark reference; the packed driver is
+//! bit-identical to it.
 
-use crate::blocking::KPlan;
-use crate::context::{self, GemmSample, M3xuContext};
+use crate::blas3::{self, PackedCall};
+use crate::context::{self, M3xuContext};
 use crate::pool::WorkerPool;
 use m3xu_fp::complex::Complex;
-use m3xu_mxu::abft::{self, Checksum};
-use m3xu_mxu::dpu::DotProductUnit;
 use m3xu_mxu::error::M3xuError;
-use m3xu_mxu::fault::{FaultPlan, FaultSummary, MmaFault, TaskFault};
-use m3xu_mxu::matrix::Matrix;
-use m3xu_mxu::mma::{MmaShape, MmaStats};
+use m3xu_mxu::fault::{FaultPlan, FaultSummary};
+use m3xu_mxu::matrix::{MatSource, Matrix};
+use m3xu_mxu::mma::MmaStats;
 use m3xu_mxu::modes::MxuMode;
-use m3xu_mxu::packed::{fragment_stats, PackedOperand, PackedStorage};
-use std::cell::RefCell;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
-/// Fixed per-tile accumulator scratch the packed driver provisions (one
-/// full fragment, `frag.m * frag.n` elements). Validated against each
-/// mode's fragment shape at entry so a future shape cannot silently
-/// truncate a tile or panic mid-epoch inside a pooled task.
-pub(crate) const ACC_SCRATCH: usize = 64;
-
-/// Validate the `D = A·B + C` operand shapes shared by every driver.
-fn validate_gemm_shapes<E>(a: &Matrix<E>, b: &Matrix<E>, c: &Matrix<E>) -> Result<(), M3xuError> {
+/// Validate the `D = alpha·A·B + beta·C` operand shapes shared by every
+/// driver (`a` and `b` at their logical, post-op dimensions).
+pub(crate) fn validate_gemm_shapes<E, SA, SB>(
+    a: &SA,
+    b: &SB,
+    c: &Matrix<E>,
+) -> Result<(), M3xuError>
+where
+    SA: MatSource<E>,
+    SB: MatSource<E>,
+{
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     if b.rows() != k {
         return Err(M3xuError::ShapeMismatch {
@@ -151,823 +143,49 @@ pub fn workers() -> usize {
     context::default_context().threads()
 }
 
-/// An element type the generic packed driver can multiply.
-pub trait PackedElem: Copy + Default + Send + Sync + 'static {
-    /// Bytes per reduction element in the packed value plane (`B` side) —
-    /// what the cache-blocking plan sizes its panels around.
-    const VAL_BYTES: usize;
-    /// Decode the `A` operand (by rows) for `mode`, reusing `storage`'s
-    /// capacity (pass a default [`PackedStorage`] when no arena is
-    /// available).
-    fn pack_a(a: &Matrix<Self>, mode: MxuMode, storage: PackedStorage) -> PackedOperand;
-    /// Decode the `B` operand (by columns) for `mode`, reusing `storage`.
-    fn pack_b(b: &Matrix<Self>, mode: MxuMode, storage: PackedStorage) -> PackedOperand;
-    /// Execute one fragment in place on `acc` (row-major `rows x cols`).
-    #[allow(clippy::too_many_arguments)]
-    fn execute(
-        dpu: &mut DotProductUnit,
-        a: &PackedOperand,
-        b: &PackedOperand,
-        r0: usize,
-        rows: usize,
-        c0: usize,
-        cols: usize,
-        k0: usize,
-        klen: usize,
-        acc: &mut [Self],
-    );
-    /// Execute a whole `[k0, kend)` reduction panel on one tile, chunked
-    /// at `frag_k` — bit-identical to looping [`PackedElem::execute`]
-    /// over the same chunks, but eligible for the SIMD row pipeline.
-    #[allow(clippy::too_many_arguments)]
-    fn execute_panel(
-        dpu: &mut DotProductUnit,
-        a: &PackedOperand,
-        b: &PackedOperand,
-        r0: usize,
-        rows: usize,
-        c0: usize,
-        cols: usize,
-        k0: usize,
-        kend: usize,
-        frag_k: usize,
-        acc: &mut [Self],
-    );
-}
-
-impl PackedElem for f32 {
-    const VAL_BYTES: usize = std::mem::size_of::<f32>();
-    fn pack_a(a: &Matrix<f32>, mode: MxuMode, storage: PackedStorage) -> PackedOperand {
-        PackedOperand::try_pack_rows_f32_in(a, mode, storage).unwrap_or_else(|e| panic!("{e}"))
-    }
-    fn pack_b(b: &Matrix<f32>, mode: MxuMode, storage: PackedStorage) -> PackedOperand {
-        PackedOperand::try_pack_cols_f32_in(b, mode, storage).unwrap_or_else(|e| panic!("{e}"))
-    }
-    fn execute(
-        dpu: &mut DotProductUnit,
-        a: &PackedOperand,
-        b: &PackedOperand,
-        r0: usize,
-        rows: usize,
-        c0: usize,
-        cols: usize,
-        k0: usize,
-        klen: usize,
-        acc: &mut [f32],
-    ) {
-        dpu.mma_f32_into(a, b, r0, rows, c0, cols, k0, klen, acc);
-    }
-    fn execute_panel(
-        dpu: &mut DotProductUnit,
-        a: &PackedOperand,
-        b: &PackedOperand,
-        r0: usize,
-        rows: usize,
-        c0: usize,
-        cols: usize,
-        k0: usize,
-        kend: usize,
-        frag_k: usize,
-        acc: &mut [f32],
-    ) {
-        dpu.mma_f32_panel_into(a, b, r0, rows, c0, cols, k0, kend, frag_k, acc);
-    }
-}
-
-impl PackedElem for Complex<f32> {
-    const VAL_BYTES: usize = std::mem::size_of::<Complex<f32>>();
-    fn pack_a(a: &Matrix<Complex<f32>>, _mode: MxuMode, storage: PackedStorage) -> PackedOperand {
-        PackedOperand::pack_rows_c32_in(a, storage)
-    }
-    fn pack_b(b: &Matrix<Complex<f32>>, _mode: MxuMode, storage: PackedStorage) -> PackedOperand {
-        PackedOperand::pack_cols_c32_in(b, storage)
-    }
-    fn execute(
-        dpu: &mut DotProductUnit,
-        a: &PackedOperand,
-        b: &PackedOperand,
-        r0: usize,
-        rows: usize,
-        c0: usize,
-        cols: usize,
-        k0: usize,
-        klen: usize,
-        acc: &mut [Complex<f32>],
-    ) {
-        dpu.mma_c32_into(a, b, r0, rows, c0, cols, k0, klen, acc);
-    }
-    fn execute_panel(
-        dpu: &mut DotProductUnit,
-        a: &PackedOperand,
-        b: &PackedOperand,
-        r0: usize,
-        rows: usize,
-        c0: usize,
-        cols: usize,
-        k0: usize,
-        kend: usize,
-        frag_k: usize,
-        acc: &mut [Complex<f32>],
-    ) {
-        dpu.mma_c32_panel_into(a, b, r0, rows, c0, cols, k0, kend, frag_k, acc);
-    }
-}
-
-impl PackedElem for f64 {
-    const VAL_BYTES: usize = std::mem::size_of::<f64>();
-    fn pack_a(a: &Matrix<f64>, mode: MxuMode, storage: PackedStorage) -> PackedOperand {
-        PackedOperand::try_pack_rows_f64_in(a, mode, storage).unwrap_or_else(|e| panic!("{e}"))
-    }
-    fn pack_b(b: &Matrix<f64>, mode: MxuMode, storage: PackedStorage) -> PackedOperand {
-        PackedOperand::try_pack_cols_f64_in(b, mode, storage).unwrap_or_else(|e| panic!("{e}"))
-    }
-    fn execute(
-        dpu: &mut DotProductUnit,
-        a: &PackedOperand,
-        b: &PackedOperand,
-        r0: usize,
-        rows: usize,
-        c0: usize,
-        cols: usize,
-        k0: usize,
-        klen: usize,
-        acc: &mut [f64],
-    ) {
-        dpu.mma_f64_into(a, b, r0, rows, c0, cols, k0, klen, acc);
-    }
-    fn execute_panel(
-        dpu: &mut DotProductUnit,
-        a: &PackedOperand,
-        b: &PackedOperand,
-        r0: usize,
-        rows: usize,
-        c0: usize,
-        cols: usize,
-        k0: usize,
-        kend: usize,
-        frag_k: usize,
-        acc: &mut [f64],
-    ) {
-        dpu.mma_f64_panel_into(a, b, r0, rows, c0, cols, k0, kend, frag_k, acc);
-    }
-}
-
-/// A raw output pointer the tile tasks write through. Tiles are disjoint
-/// regions of the output, so concurrent writes never alias.
-pub(crate) struct SendPtr<T>(pub(crate) *mut T);
-unsafe impl<T: Send> Send for SendPtr<T> {}
-unsafe impl<T: Send> Sync for SendPtr<T> {}
-
-impl<T> SendPtr<T> {
-    /// Accessor (rather than field access) so closures capture the whole
-    /// `Sync` wrapper, not the bare raw pointer.
-    pub(crate) fn get(&self) -> *mut T {
-        self.0
-    }
-}
-
-thread_local! {
-    /// One dot-product unit per thread, reused across every fragment of
-    /// every GEMM — its wide Kulisch registers never hit the allocator on
-    /// the hot path.
-    pub(crate) static DPU: RefCell<DotProductUnit> = RefCell::new(DotProductUnit::new());
-}
-
-/// The generic packed GEMM driver: `D = A·B + C` in `mode` on `pool`.
-///
-/// When a context is attached, the packed operands borrow its scratch
-/// arena and the call's accounting (fragment grid, operand traffic,
-/// per-phase wall time) is recorded into its counter sink.
-fn try_gemm_packed<E: PackedElem>(
-    pool: &WorkerPool,
-    mode: MxuMode,
-    a: &Matrix<E>,
-    b: &Matrix<E>,
-    c: &Matrix<E>,
-    ctx: Option<&M3xuContext>,
-) -> Result<GemmResult<E>, M3xuError> {
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    validate_gemm_shapes(a, b, c)?;
-
-    let frag = MmaShape::BASELINE_FP16.for_mode(mode);
-    if frag.m * frag.n > ACC_SCRATCH {
-        // The per-tile accumulator is a fixed stack array; a fragment
-        // shape that outgrows it must be rejected up front, not trusted
-        // to a slice-bounds panic inside a pooled task.
-        return Err(M3xuError::FragmentOverflow {
-            needed: frag.m * frag.n,
-            capacity: ACC_SCRATCH,
-        });
-    }
-    let (tiles_m, tiles_n, k_chunks) = frag.grid(m, n, k);
-    let mut d = c.clone();
-    if k_chunks == 0 || m == 0 || n == 0 {
-        if let Some(cx) = ctx {
-            // A degenerate call still counts as a call; it moves no
-            // operand bytes and issues no fragments.
-            cx.counters().record(&GemmSample {
-                mode,
-                stats: MmaStats::default(),
-                tiles: 0,
-                fragments: 0,
-                operand_bytes: 0,
-                pack_ns: 0,
-                exec_ns: 0,
-            });
-        }
-        return Ok(GemmResult {
-            d,
-            stats: MmaStats::default(),
-        });
-    }
-
-    // Decode each operand exactly once for the whole GEMM — entry planes
-    // *and* the f32 value mirrors the SIMD row kernels read — reusing the
-    // context's packed-operand arena when one is attached. Packing `B`
-    // here hoists it out of every epoch and tile below.
-    let (sa, sb) = match ctx {
-        Some(cx) => cx.take_scratch(),
-        None => (PackedStorage::default(), PackedStorage::default()),
-    };
-    let t_pack = Instant::now();
-    let pa = E::pack_a(a, mode, sa);
-    let pb = E::pack_b(b, mode, sb);
-    let pack_ns = t_pack.elapsed().as_nanos() as u64;
-
-    let plan = KPlan::new(frag.k, k, n, E::VAL_BYTES);
-    let dptr = SendPtr(d.as_mut_slice().as_mut_ptr());
-    let t_exec = Instant::now();
-    // L2 epochs: one pool dispatch per `kc2`-deep reduction slice, so the
-    // whole tile grid consumes one L2-resident band of `B`'s planes
-    // before the next band is touched. Epoch boundaries are fragment
-    // boundaries, so each tile's chunk sequence is identical to the
-    // unblocked loop; tiles re-read their partial sums from `D` between
-    // epochs.
-    let mut ke0 = 0usize;
-    while ke0 < k {
-        let ke1 = (ke0 + plan.kc2).min(k);
-        let first = ke0 == 0;
-        pool.run(tiles_m * tiles_n, |tid| {
-            let (i0, j0) = ((tid / tiles_n) * frag.m, (tid % tiles_n) * frag.n);
-            let rows = frag.m.min(m - i0);
-            let cols = frag.n.min(n - j0);
-            let mut acc = [E::default(); ACC_SCRATCH]; // >= frag.m * frag.n, checked at entry
-            let acc = &mut acc[..rows * cols];
-            if first {
-                c.view(i0, j0, rows, cols).copy_into(acc);
-            } else {
-                for (i, row) in acc.chunks_exact_mut(cols).enumerate() {
-                    // SAFETY: this tile owns rows i0..i0+rows, cols
-                    // j0..j0+cols of the output, epochs run sequentially,
-                    // and the pointer outlives the pool run — the reads
-                    // see exactly what the previous epoch's store wrote.
-                    unsafe {
-                        std::ptr::copy_nonoverlapping(
-                            dptr.get().add((i0 + i) * n + j0) as *const E,
-                            row.as_mut_ptr(),
-                            cols,
-                        );
-                    }
-                }
-            }
-            DPU.with(|dpu| {
-                let mut dpu = dpu.borrow_mut();
-                // L1 panels inside the epoch: each keeps one 8-column
-                // slice of `B` resident across the tile's output rows.
-                let mut kb = ke0;
-                while kb < ke1 {
-                    let kbend = (kb + plan.kc1).min(ke1);
-                    E::execute_panel(
-                        &mut dpu, &pa, &pb, i0, rows, j0, cols, kb, kbend, frag.k, acc,
-                    );
-                    kb = kbend;
-                }
-            });
-            // Epilogue: disjoint predicated stores straight into D.
-            for (i, row) in acc.chunks_exact(cols).enumerate() {
-                // SAFETY: as above — this tile's disjoint output region.
-                unsafe {
-                    std::ptr::copy_nonoverlapping(
-                        row.as_ptr(),
-                        dptr.get().add((i0 + i) * n + j0),
-                        cols,
-                    );
-                }
-            }
-        });
-        ke0 = ke1;
-    }
-    let exec_ns = t_exec.elapsed().as_nanos() as u64;
-
-    // Statistics are a pure function of the fragment grid — identical to
-    // what per-fragment counters would sum to, without any atomics.
-    let frags = (tiles_m * tiles_n * k_chunks) as u64;
-    let stats = fragment_stats(mode, frag).scaled(frags);
-    if let Some(cx) = ctx {
-        cx.counters().record(&GemmSample {
-            mode,
-            stats,
-            tiles: (tiles_m * tiles_n) as u64,
-            fragments: frags,
-            // Rule (c) operand traffic: each operand element moves at the
-            // mode's storage width (2 bytes FP16/BF16, 4 bytes TF32/FP32,
-            // 8 bytes FP32C), not at `size_of::<E>()`.
-            operand_bytes: ((m * k + k * n) * mode.element_bytes()) as u64,
-            pack_ns,
-            exec_ns,
-        });
-        cx.put_scratch(pa.into_storage(), pb.into_storage());
-    }
-    Ok(GemmResult { d, stats })
-}
-
-/// Executions the checked driver grants one k-chunk before declaring its
-/// tile unrecoverable. Sites include the attempt number, so a fault plan
-/// with rate < 1 usually clears within a retry or two (the residual
-/// failure probability is `rate^4` per chunk); a plan with rate 1.0
-/// exhausts them and exercises the error path.
-pub(crate) const MAX_TILE_ATTEMPTS: u64 = 4;
-
-/// Pool-epoch re-submissions the checked driver performs when an injected
-/// task panic (or an abruptly-killed worker) loses a whole epoch.
-pub(crate) const MAX_EPOCH_ATTEMPTS: u64 = 4;
-
-/// An element type the ABFT-checked driver can verify: [`PackedElem`]
-/// plus the per-k-chunk checksum pair — the *expected* side from the
-/// operands and seeds, the *computed* side from the checked MMA's
-/// accumulator state (see [`m3xu_mxu::abft`]).
-pub(crate) trait AbftElem: PackedElem {
-    /// Expected checksum of one k-chunk, from the tile's **packed**
-    /// operand bands and its pre-chunk accumulator (`seeds`, row-major
-    /// `rows × cols`). Reading the packed planes (not the source
-    /// matrices) is what makes every precision checkable: quantisation,
-    /// alpha folding, and op views all happen at pack time, so the
-    /// expected side predicts exactly what the MMA multiplies.
-    #[allow(clippy::too_many_arguments)]
-    fn expected_chunk(
-        a: &PackedOperand,
-        b: &PackedOperand,
-        seeds: &[Self],
-        r0: usize,
-        rows: usize,
-        c0: usize,
-        cols: usize,
-        k0: usize,
-        kend: usize,
-    ) -> Checksum;
-
-    /// Execute one fragment like [`PackedElem::execute`], additionally
-    /// reporting the computed checksum and (optionally) corrupting one
-    /// product on the way out of the datapath.
-    #[allow(clippy::too_many_arguments)]
-    fn execute_checked(
-        dpu: &mut DotProductUnit,
-        a: &PackedOperand,
-        b: &PackedOperand,
-        r0: usize,
-        rows: usize,
-        c0: usize,
-        cols: usize,
-        k0: usize,
-        klen: usize,
-        acc: &mut [Self],
-        fault: Option<&MmaFault>,
-    ) -> Checksum;
-}
-
-impl AbftElem for f32 {
-    fn expected_chunk(
-        a: &PackedOperand,
-        b: &PackedOperand,
-        seeds: &[f32],
-        r0: usize,
-        rows: usize,
-        c0: usize,
-        cols: usize,
-        k0: usize,
-        kend: usize,
-    ) -> Checksum {
-        abft::expected_chunk_packed_f32(a, b, seeds, r0, rows, c0, cols, k0, kend)
-    }
-
-    fn execute_checked(
-        dpu: &mut DotProductUnit,
-        a: &PackedOperand,
-        b: &PackedOperand,
-        r0: usize,
-        rows: usize,
-        c0: usize,
-        cols: usize,
-        k0: usize,
-        klen: usize,
-        acc: &mut [f32],
-        fault: Option<&MmaFault>,
-    ) -> Checksum {
-        dpu.mma_f32_checked_into(a, b, r0, rows, c0, cols, k0, klen, acc, fault)
-    }
-}
-
-impl AbftElem for Complex<f32> {
-    fn expected_chunk(
-        a: &PackedOperand,
-        b: &PackedOperand,
-        seeds: &[Complex<f32>],
-        r0: usize,
-        rows: usize,
-        c0: usize,
-        cols: usize,
-        k0: usize,
-        kend: usize,
-    ) -> Checksum {
-        abft::expected_chunk_packed_c32(a, b, seeds, r0, rows, c0, cols, k0, kend)
-    }
-
-    fn execute_checked(
-        dpu: &mut DotProductUnit,
-        a: &PackedOperand,
-        b: &PackedOperand,
-        r0: usize,
-        rows: usize,
-        c0: usize,
-        cols: usize,
-        k0: usize,
-        klen: usize,
-        acc: &mut [Complex<f32>],
-        fault: Option<&MmaFault>,
-    ) -> Checksum {
-        dpu.mma_c32_checked_into(a, b, r0, rows, c0, cols, k0, klen, acc, fault)
-    }
-}
-
-impl AbftElem for f64 {
-    fn expected_chunk(
-        a: &PackedOperand,
-        b: &PackedOperand,
-        seeds: &[f64],
-        r0: usize,
-        rows: usize,
-        c0: usize,
-        cols: usize,
-        k0: usize,
-        kend: usize,
-    ) -> Checksum {
-        abft::expected_chunk_packed_f64(a, b, seeds, r0, rows, c0, cols, k0, kend)
-    }
-
-    fn execute_checked(
-        dpu: &mut DotProductUnit,
-        a: &PackedOperand,
-        b: &PackedOperand,
-        r0: usize,
-        rows: usize,
-        c0: usize,
-        cols: usize,
-        k0: usize,
-        klen: usize,
-        acc: &mut [f64],
-        fault: Option<&MmaFault>,
-    ) -> Checksum {
-        dpu.mma_f64_checked_into(a, b, r0, rows, c0, cols, k0, klen, acc, fault)
-    }
-}
-
-/// The ABFT-checked, self-healing GEMM driver: the packed pipeline with a
-/// per-k-chunk checksum verification wrapped around every fragment, plus
-/// the fault-injection hooks of `plan`.
-///
-/// Recovery is hierarchical, mirroring the blast radius of each fault
-/// class:
-///
-/// * a **checksum mismatch** restores the chunk's seeds and re-executes
-///   only the corrupted k-chunk (each attempt is a fresh fault site, so
-///   injected corruption usually clears) — up to [`MAX_TILE_ATTEMPTS`]
-///   executions per chunk;
-/// * a **lost pool epoch** (injected task panic, killed worker) is caught
-///   with `catch_unwind` and the whole tile grid re-submitted — tiles are
-///   idempotent, every rerun rewrites the same disjoint output regions —
-///   up to [`MAX_EPOCH_ATTEMPTS`];
-/// * anything that survives both loops surfaces as
-///   [`M3xuError::FaultDetected`] carrying the telemetry counts. The
-///   driver never panics and never returns silently-corrupt data the
-///   checksums can see.
-///
-/// On success the recorded [`GemmSample`] is the *production* sample — a
-/// pure function of the fragment grid, not inflated by retries — so
-/// instruction-count cross-validation holds unchanged; verification work
-/// and re-executions are reported in the [`FaultSummary`] and the
-/// context's fault counters instead.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn try_gemm_abft<E: AbftElem>(
-    pool: &WorkerPool,
-    op: &'static str,
-    mode: MxuMode,
-    a: &Matrix<E>,
-    b: &Matrix<E>,
-    c: &Matrix<E>,
-    ctx: Option<&M3xuContext>,
-    plan: &FaultPlan,
-) -> Result<(GemmResult<E>, FaultSummary), M3xuError> {
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    validate_gemm_shapes(a, b, c)?;
-
-    let frag = MmaShape::BASELINE_FP16.for_mode(mode);
-    if frag.m * frag.n > ACC_SCRATCH {
-        return Err(M3xuError::FragmentOverflow {
-            needed: frag.m * frag.n,
-            capacity: ACC_SCRATCH,
-        });
-    }
-    let (tiles_m, tiles_n, k_chunks) = frag.grid(m, n, k);
-    let mut d = c.clone();
-    if k_chunks == 0 || m == 0 || n == 0 {
-        if let Some(cx) = ctx {
-            cx.counters().record(&GemmSample {
-                mode,
-                stats: MmaStats::default(),
-                tiles: 0,
-                fragments: 0,
-                operand_bytes: 0,
-                pack_ns: 0,
-                exec_ns: 0,
-            });
-        }
-        return Ok((
-            GemmResult {
-                d,
-                stats: MmaStats::default(),
-            },
-            FaultSummary::default(),
-        ));
-    }
-
-    let (sa, sb) = match ctx {
-        Some(cx) => cx.take_scratch(),
-        None => (PackedStorage::default(), PackedStorage::default()),
-    };
-    let t_pack = Instant::now();
-    let pa = E::pack_a(a, mode, sa);
-    let pb = E::pack_b(b, mode, sb);
-    let pack_ns = t_pack.elapsed().as_nanos() as u64;
-
-    // One salt per driver invocation: a serve-layer retry of this whole
-    // call draws an independent fault schedule.
-    let salt = plan.next_call();
-
-    // Cumulative telemetry across every epoch attempt.
-    let detected = AtomicU64::new(0);
-    let retries = AtomicU64::new(0);
-    // Per-epoch outcome: tiles that exhausted their attempts, and the
-    // mismatches those tiles could not repair. Reset before each epoch —
-    // a lost epoch's failures get fresh attempts on the rerun, so only
-    // the final epoch's failures count as uncorrected.
-    let failed_tiles = AtomicU64::new(0);
-    let epoch_uncorrected = AtomicU64::new(0);
-
-    let dptr = SendPtr(d.as_mut_slice().as_mut_ptr());
-    let t_exec = Instant::now();
-    let mut epoch_ok = false;
-    for epoch_attempt in 0..MAX_EPOCH_ATTEMPTS {
-        failed_tiles.store(0, Ordering::Relaxed);
-        epoch_uncorrected.store(0, Ordering::Relaxed);
-        let task = |tid: usize| {
-            match plan.task_fault(salt, epoch_attempt, tid as u64) {
-                Some(TaskFault::Stall { millis }) => {
-                    std::thread::sleep(std::time::Duration::from_millis(millis));
-                }
-                Some(TaskFault::Panic) => {
-                    panic!("m3xu fault injection: task panic (tile {tid})");
-                }
-                None => {}
-            }
-            let (i0, j0) = ((tid / tiles_n) * frag.m, (tid % tiles_n) * frag.n);
-            let rows = frag.m.min(m - i0);
-            let cols = frag.n.min(n - j0);
-            let mut acc = [E::default(); ACC_SCRATCH]; // >= frag.m * frag.n, checked at entry
-            let acc = &mut acc[..rows * cols];
-            // Snapshot of the accumulator at each chunk's entry: restoring
-            // it makes a chunk re-execution exactly idempotent, so a
-            // mismatch re-runs only the corrupted chunk, never the tile's
-            // whole K loop.
-            let mut seeds = [E::default(); ACC_SCRATCH];
-            let seeds = &mut seeds[..rows * cols];
-            c.view(i0, j0, rows, cols).copy_into(acc);
-            let mut tile_detected = 0u64;
-            let mut tile_retries = 0u64;
-            let mut tile_uncorrected = 0u64;
-            let mut tile_failed = false;
-            DPU.with(|dpu| {
-                let mut dpu = dpu.borrow_mut();
-                for (ci, k0) in (0..k).step_by(frag.k).enumerate() {
-                    let kend = (k0 + frag.k).min(k);
-                    seeds.copy_from_slice(acc);
-                    // The expected side reads the chunk's seeds once; the
-                    // retries below restore them bit-exactly.
-                    let expected = E::expected_chunk(&pa, &pb, seeds, i0, rows, j0, cols, k0, kend);
-                    let mut chunk_fails = 0u64;
-                    let mut chunk_ok = false;
-                    for attempt in 0..MAX_TILE_ATTEMPTS {
-                        if attempt > 0 {
-                            acc.copy_from_slice(seeds);
-                        }
-                        // Specials bypass the multiplier array: an
-                        // unverifiable chunk is not a fault target.
-                        let fault = if expected.ok {
-                            plan.mma_fault(salt, epoch_attempt, tid as u64, ci as u64, attempt)
-                        } else {
-                            None
-                        };
-                        let computed = E::execute_checked(
-                            &mut dpu,
-                            &pa,
-                            &pb,
-                            i0,
-                            rows,
-                            j0,
-                            cols,
-                            k0,
-                            frag.k,
-                            acc,
-                            fault.as_ref(),
-                        );
-                        if expected.matches(&computed) {
-                            chunk_ok = true;
-                            break;
-                        }
-                        chunk_fails += 1;
-                    }
-                    tile_detected += chunk_fails;
-                    if chunk_ok {
-                        // Every detection triggered one repairing rerun.
-                        tile_retries += chunk_fails;
-                    } else {
-                        tile_retries += chunk_fails.saturating_sub(1);
-                        tile_uncorrected += chunk_fails;
-                        tile_failed = true;
-                        break;
-                    }
-                }
-            });
-            detected.fetch_add(tile_detected, Ordering::Relaxed);
-            retries.fetch_add(tile_retries, Ordering::Relaxed);
-            if tile_failed {
-                epoch_uncorrected.fetch_add(tile_uncorrected, Ordering::Relaxed);
-                failed_tiles.fetch_add(1, Ordering::Relaxed);
-            } else {
-                for (i, row) in acc.chunks_exact(cols).enumerate() {
-                    // SAFETY: this tile owns rows i0..i0+rows, cols
-                    // j0..j0+cols of the output; no other task touches
-                    // them, the pointer outlives the pool run, and epoch
-                    // reruns rewrite the same bytes.
-                    unsafe {
-                        std::ptr::copy_nonoverlapping(
-                            row.as_ptr(),
-                            dptr.get().add((i0 + i) * n + j0),
-                            cols,
-                        );
-                    }
-                }
-            }
-        };
-        // An injected task panic (or a worker killed mid-epoch) surfaces
-        // as a panic out of `run` once the epoch has drained; catch it
-        // and re-submit rather than unwinding through the caller.
-        match catch_unwind(AssertUnwindSafe(|| pool.run(tiles_m * tiles_n, task))) {
-            Ok(()) => {
-                epoch_ok = true;
-                break;
-            }
-            Err(_) => {
-                detected.fetch_add(1, Ordering::Relaxed);
-                if epoch_attempt + 1 < MAX_EPOCH_ATTEMPTS {
-                    retries.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-    }
-    let exec_ns = t_exec.elapsed().as_nanos() as u64;
-
-    let detected = detected.load(Ordering::Relaxed);
-    let retries = retries.load(Ordering::Relaxed);
-    let (failed, uncorrected) = if epoch_ok {
-        (
-            failed_tiles.load(Ordering::Relaxed),
-            epoch_uncorrected.load(Ordering::Relaxed),
-        )
-    } else {
-        // Epochs exhausted: the whole grid is suspect, and the final
-        // lost epoch is the one detection nothing repaired.
-        ((tiles_m * tiles_n) as u64, 1)
-    };
-    let summary = FaultSummary {
-        detected,
-        corrected: detected - uncorrected,
-        retries,
-    };
-
-    if let Some(cx) = ctx {
-        cx.counters().record_faults(&summary);
-    }
-    if failed > 0 {
-        if let Some(cx) = ctx {
-            cx.put_scratch(pa.into_storage(), pb.into_storage());
-        }
-        return Err(M3xuError::FaultDetected {
-            op,
-            mode,
-            tiles: failed as usize,
-            detected,
-            corrected: summary.corrected,
-            retries,
-        });
-    }
-
-    // The production sample: a pure function of the fragment grid,
-    // bit-identical accounting to the unchecked driver.
-    let frags = (tiles_m * tiles_n * k_chunks) as u64;
-    let stats = fragment_stats(mode, frag).scaled(frags);
-    if let Some(cx) = ctx {
-        cx.counters().record(&GemmSample {
-            mode,
-            stats,
-            tiles: (tiles_m * tiles_n) as u64,
-            fragments: frags,
-            operand_bytes: ((m * k + k * n) * mode.element_bytes()) as u64,
-            pack_ns,
-            exec_ns,
-        });
-        cx.put_scratch(pa.into_storage(), pb.into_storage());
-    }
-    Ok((GemmResult { d, stats }, summary))
-}
-
-/// Context-attached real GEMM: the body of
-/// [`M3xuContext::try_gemm_f32`](crate::context::M3xuContext::try_gemm_f32).
-/// An armed fault plan routes **every** f32 precision through the
-/// ABFT-checked self-healing driver: the expected checksums read the
-/// packed buffer entries, so quantising narrow engines (FP16/BF16/TF32)
-/// and the truncated fast schedule verify exactly alongside true FP32.
-pub(crate) fn try_gemm_f32_ctx(
-    ctx: &M3xuContext,
-    precision: GemmPrecision,
-    a: &Matrix<f32>,
-    b: &Matrix<f32>,
-    c: &Matrix<f32>,
-) -> Result<GemmResult<f32>, M3xuError> {
-    try_gemm_f32_faulted_ctx(ctx, precision, a, b, c).map(|(r, _)| r)
-}
-
-/// Context-attached FP32C GEMM: the body of
-/// [`M3xuContext::try_cgemm_c32`](crate::context::M3xuContext::try_cgemm_c32).
-pub(crate) fn try_cgemm_c32_ctx(
-    ctx: &M3xuContext,
-    a: &Matrix<Complex<f32>>,
-    b: &Matrix<Complex<f32>>,
-    c: &Matrix<Complex<f32>>,
-) -> Result<GemmResult<Complex<f32>>, M3xuError> {
-    try_cgemm_c32_faulted_ctx(ctx, a, b, c).map(|(r, _)| r)
-}
-
-/// [`try_gemm_f32_ctx`] with the invocation's [`FaultSummary`].
+/// Context-attached real GEMM with the invocation's [`FaultSummary`]: the
+/// body of [`M3xuContext::try_gemm_f32_faulted`] and of an armed
+/// [`FaultyExecutor`](crate::faulty::FaultyExecutor), which passes its
+/// own `plan`. Every f32 precision is checkable under a plan: the
+/// expected checksums read the packed buffer entries, so quantising
+/// narrow engines (FP16/BF16/TF32) and the truncated fast schedule verify
+/// exactly alongside true FP32.
 pub(crate) fn try_gemm_f32_faulted_ctx(
     ctx: &M3xuContext,
+    plan: Option<&FaultPlan>,
     precision: GemmPrecision,
     a: &Matrix<f32>,
     b: &Matrix<f32>,
     c: &Matrix<f32>,
 ) -> Result<(GemmResult<f32>, FaultSummary), M3xuError> {
     check_precision(precision, true, "gemm_f32")?;
-    match ctx.fault_plan() {
-        Some(plan) => try_gemm_abft(
-            ctx.pool(),
-            "gemm",
-            precision.mode(),
-            a,
-            b,
-            c,
-            Some(ctx),
-            plan,
-        ),
-        None => try_gemm_packed(ctx.pool(), precision.mode(), a, b, c, Some(ctx))
-            .map(|r| (r, FaultSummary::default())),
-    }
+    blas3::run_on(
+        ctx,
+        plan,
+        PackedCall::gemm("gemm", precision.mode(), a, b, c),
+    )
 }
 
-/// Context-attached emulated-FP64 GEMM: the body of
-/// [`M3xuContext::try_gemm_f64`](crate::context::M3xuContext::try_gemm_f64).
-/// An armed fault plan reroutes through the checked driver: the residue
-/// homomorphism extends to every f64 dyadic rational, and the expected
-/// side reads the five packed mantissa slices directly.
-pub(crate) fn try_gemm_f64_ctx(
+/// Context-attached FP32C GEMM with the invocation's [`FaultSummary`];
+/// see [`try_gemm_f32_faulted_ctx`].
+pub(crate) fn try_cgemm_c32_faulted_ctx(
     ctx: &M3xuContext,
-    precision: GemmPrecision,
-    a: &Matrix<f64>,
-    b: &Matrix<f64>,
-    c: &Matrix<f64>,
-) -> Result<GemmResult<f64>, M3xuError> {
-    try_gemm_f64_faulted_ctx(ctx, precision, a, b, c).map(|(r, _)| r)
+    plan: Option<&FaultPlan>,
+    a: &Matrix<Complex<f32>>,
+    b: &Matrix<Complex<f32>>,
+    c: &Matrix<Complex<f32>>,
+) -> Result<(GemmResult<Complex<f32>>, FaultSummary), M3xuError> {
+    blas3::run_on(
+        ctx,
+        plan,
+        PackedCall::gemm("cgemm", MxuMode::M3xuFp32c, a, b, c),
+    )
 }
 
-/// [`try_gemm_f64_ctx`] with the invocation's [`FaultSummary`].
+/// Context-attached emulated-FP64 GEMM with the invocation's
+/// [`FaultSummary`]. The residue homomorphism extends to every f64
+/// dyadic rational, so a checked run's expected side reads the five
+/// packed mantissa slices directly.
 pub(crate) fn try_gemm_f64_faulted_ctx(
     ctx: &M3xuContext,
     precision: GemmPrecision,
@@ -976,43 +194,11 @@ pub(crate) fn try_gemm_f64_faulted_ctx(
     c: &Matrix<f64>,
 ) -> Result<(GemmResult<f64>, FaultSummary), M3xuError> {
     check_precision(precision, false, "gemm_f64")?;
-    match ctx.fault_plan() {
-        Some(plan) => try_gemm_abft(
-            ctx.pool(),
-            "gemm_f64",
-            precision.mode(),
-            a,
-            b,
-            c,
-            Some(ctx),
-            plan,
-        ),
-        None => try_gemm_packed(ctx.pool(), precision.mode(), a, b, c, Some(ctx))
-            .map(|r| (r, FaultSummary::default())),
-    }
-}
-
-/// [`try_cgemm_c32_ctx`] with the invocation's [`FaultSummary`].
-pub(crate) fn try_cgemm_c32_faulted_ctx(
-    ctx: &M3xuContext,
-    a: &Matrix<Complex<f32>>,
-    b: &Matrix<Complex<f32>>,
-    c: &Matrix<Complex<f32>>,
-) -> Result<(GemmResult<Complex<f32>>, FaultSummary), M3xuError> {
-    match ctx.fault_plan() {
-        Some(plan) => try_gemm_abft(
-            ctx.pool(),
-            "cgemm",
-            MxuMode::M3xuFp32c,
-            a,
-            b,
-            c,
-            Some(ctx),
-            plan,
-        ),
-        None => try_gemm_packed(ctx.pool(), MxuMode::M3xuFp32c, a, b, c, Some(ctx))
-            .map(|r| (r, FaultSummary::default())),
-    }
+    blas3::run_on(
+        ctx,
+        None,
+        PackedCall::gemm("gemm_f64", precision.mode(), a, b, c),
+    )
 }
 
 /// Fallible tiled FP32 GEMM `D = A·B + C` on an explicit worker pool —
@@ -1027,7 +213,8 @@ pub fn try_gemm_f32_on(
     c: &Matrix<f32>,
 ) -> Result<GemmResult<f32>, M3xuError> {
     check_precision(precision, true, "gemm_f32")?;
-    try_gemm_packed(pool, precision.mode(), a, b, c, None)
+    let call = PackedCall::gemm("gemm", precision.mode(), a, b, c);
+    Ok(blas3::run(pool, None, None, call)?.0)
 }
 
 /// Tiled FP32 GEMM `D = A·B + C` on the M3XU (or a baseline mode), using
@@ -1078,7 +265,8 @@ pub fn try_cgemm_c32_on(
     b: &Matrix<Complex<f32>>,
     c: &Matrix<Complex<f32>>,
 ) -> Result<GemmResult<Complex<f32>>, M3xuError> {
-    try_gemm_packed(pool, MxuMode::M3xuFp32c, a, b, c, None)
+    let call = PackedCall::gemm("cgemm", MxuMode::M3xuFp32c, a, b, c);
+    Ok(blas3::run(pool, None, None, call)?.0)
 }
 
 /// Tiled FP32C GEMM on the M3XU's four-step complex mode, using an
@@ -1142,7 +330,8 @@ pub fn try_gemm_f64_on(
     c: &Matrix<f64>,
 ) -> Result<GemmResult<f64>, M3xuError> {
     check_precision(precision, false, "gemm_f64")?;
-    try_gemm_packed(pool, precision.mode(), a, b, c, None)
+    let call = PackedCall::gemm("gemm_f64", precision.mode(), a, b, c);
+    Ok(blas3::run(pool, None, None, call)?.0)
 }
 
 /// Tiled emulated-FP64 GEMM `D = A·B + C` using an explicit worker pool.
@@ -1757,8 +946,13 @@ mod tests {
         let a = Matrix::<f32>::random(23, 11, 40);
         let b = Matrix::<f32>::random(11, 19, 41);
         let c = Matrix::<f32>::random(23, 19, 42);
-        let (r, s) =
-            try_gemm_abft(&pool, "gemm", MxuMode::M3xuFp32, &a, &b, &c, None, &plan).unwrap();
+        let (r, s) = blas3::run(
+            &pool,
+            None,
+            Some(&plan),
+            PackedCall::gemm("gemm", MxuMode::M3xuFp32, &a, &b, &c),
+        )
+        .unwrap();
         let oracle = baseline::gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
         assert_bits_f32(&r.d, &oracle.d, "abft zero-rate");
         assert_eq!(r.stats, oracle.stats);
@@ -1775,8 +969,13 @@ mod tests {
         let mut saw_faults = false;
         for seed in 0..8u64 {
             let plan = FaultPlan::new(seed, 0.05);
-            let (r, s) =
-                try_gemm_abft(&pool, "gemm", MxuMode::M3xuFp32, &a, &b, &c, None, &plan).unwrap();
+            let (r, s) = blas3::run(
+                &pool,
+                None,
+                Some(&plan),
+                PackedCall::gemm("gemm", MxuMode::M3xuFp32, &a, &b, &c),
+            )
+            .unwrap();
             assert_bits_f32(&r.d, &oracle.d, &format!("abft recovery seed {seed}"));
             assert_eq!(s.detected, s.corrected, "seed {seed}: {s:?}");
             saw_faults |= s.detected > 0;
@@ -1792,8 +991,13 @@ mod tests {
         let c = Matrix::random_c32(17, 13, 62);
         let oracle = baseline::cgemm_c32(&a, &b, &c);
         let plan = FaultPlan::new(3, 0.05);
-        let (r, s) =
-            try_gemm_abft(&pool, "cgemm", MxuMode::M3xuFp32c, &a, &b, &c, None, &plan).unwrap();
+        let (r, s) = blas3::run(
+            &pool,
+            None,
+            Some(&plan),
+            PackedCall::gemm("cgemm", MxuMode::M3xuFp32c, &a, &b, &c),
+        )
+        .unwrap();
         assert_bits_c32(&r.d, &oracle.d, "abft complex recovery");
         assert_eq!(s.detected, s.corrected);
     }
@@ -1805,7 +1009,12 @@ mod tests {
         let a = Matrix::<f32>::random(16, 8, 70);
         let b = Matrix::<f32>::random(8, 16, 71);
         let c = Matrix::<f32>::zeros(16, 16);
-        match try_gemm_abft(&pool, "gemm", MxuMode::M3xuFp32, &a, &b, &c, None, &plan) {
+        match blas3::run(
+            &pool,
+            None,
+            Some(&plan),
+            PackedCall::gemm("gemm", MxuMode::M3xuFp32, &a, &b, &c),
+        ) {
             Err(M3xuError::FaultDetected {
                 op,
                 mode,
@@ -1841,8 +1050,13 @@ mod tests {
         let c = Matrix::<f32>::random(19, 11, 82);
         let oracle = baseline::gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
         let plan = FaultPlan::new(4, 0.2);
-        let (r, _) =
-            try_gemm_abft(&pool, "gemm", MxuMode::M3xuFp32, &a, &b, &c, None, &plan).unwrap();
+        let (r, _) = blas3::run(
+            &pool,
+            None,
+            Some(&plan),
+            PackedCall::gemm("gemm", MxuMode::M3xuFp32, &a, &b, &c),
+        )
+        .unwrap();
         assert_bits_f32(&r.d, &oracle.d, "abft specials");
     }
 }

@@ -118,6 +118,7 @@ fn pow2(k: i32) -> f64 {
 ///
 /// Returns `(high, low)`. `high.value() + low.value() == x` exactly for all
 /// finite `x` (including subnormals).
+#[inline]
 pub fn decode_fp32(x: f32) -> (BufferEntry, BufferEntry) {
     let bits = x.to_bits();
     let sign = bits >> 31 == 1;

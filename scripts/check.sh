@@ -17,11 +17,14 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo doc -D warnings"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
-echo "== cargo test -q"
-cargo test -q
+# Every package's suites, not just the root package's: the crate-level
+# unit and integration tests (m3xu-mxu's checked-MMA and SIMD-panel
+# parity, m3xu-kernels' robustness, m3xu-serve's service tests) gate too.
+echo "== cargo test --workspace -q"
+cargo test --workspace -q
 
-echo "== cargo test --release -q"
-cargo test --release -q
+echo "== cargo test --workspace --release -q"
+cargo test --workspace --release -q
 
 echo "== cross-validation: functional ExecStats vs analytical model (release)"
 cargo test --release -q --test cross_validation

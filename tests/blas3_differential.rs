@@ -20,6 +20,10 @@
 //!   real.
 //! * SYMM/HEMM are checked against the oracle run on the materialized
 //!   [`MirrorView`] expansion.
+//! * The plain `D = A·B + C` entry points (context methods, the pool-only
+//!   `*_on` forms, an armed [`FaultyExecutor`]) must equal op-GEMM at
+//!   `op = (N, N)`, `alpha = beta = 1` in bits and in counted stats,
+//!   unarmed and on a zero-rate armed context.
 //!
 //! Shapes come from a deterministic xorshift generator plus a fixed edge
 //! set (zero/unit dims, primes, non-multiples of the fragment edges);
@@ -30,9 +34,10 @@
 
 use m3xu::kernels::blas3;
 use m3xu::kernels::gemm::{self, GemmPrecision};
-use m3xu::kernels::M3xuContext;
+use m3xu::kernels::{ExecStats, FaultPlan, FaultyExecutor, GemmExecutor, M3xuContext, WorkerPool};
 use m3xu::serve::{BatchPolicy, M3xuServe, ServeConfig, SubmitOpts};
 use m3xu::{MatOp, Matrix, MirrorView, Side, Triangle, C32};
+use std::sync::Arc;
 
 /// Deterministic xorshift64* shape generator (same scheme as
 /// `differential_props.rs`, different seed stream).
@@ -771,6 +776,115 @@ fn symm_and_hemm_match_mirror_materialized_oracle_bits() {
                     }
                 }
             }
+        }
+    }
+}
+
+/// The counted part of an [`ExecStats`] delta: the wall-time sums are
+/// not a function of the call, everything else is.
+fn counted(mut s: ExecStats) -> ExecStats {
+    s.pack_ns = 0;
+    s.exec_ns = 0;
+    s
+}
+
+/// `ctx`'s counter delta across one call.
+fn metered<T>(ctx: &M3xuContext, f: impl FnOnce() -> T) -> (T, ExecStats) {
+    let before = ctx.stats();
+    let r = f();
+    (r, counted(ctx.stats().delta_since(&before)))
+}
+
+#[test]
+fn plain_entry_points_are_op_gemm_at_nn_with_unit_scalars() {
+    // The plain `D = A·B + C` entry points — context methods, pool-only
+    // `*_on` forms, and an armed `FaultyExecutor` — are op-GEMM at
+    // `op = (N, N)`, `alpha = beta = 1`: same bits, same counted stats,
+    // on an unarmed context and on one armed with a zero-rate plan.
+    let pool = WorkerPool::new(2);
+    for (case, &(m, k, n)) in shapes().iter().enumerate() {
+        for armed in [false, true] {
+            let threads = THREAD_COUNTS[case % THREAD_COUNTS.len()];
+            let ctx = M3xuContext::with_threads(threads);
+            let ctx = if armed {
+                ctx.with_fault_plan(Arc::new(FaultPlan::new(case as u64, 0.0)))
+            } else {
+                ctx
+            };
+            let exec = FaultyExecutor::armed(&ctx, Arc::new(FaultPlan::new(case as u64 + 1, 0.0)));
+            let tag = |what: &str| format!("case {case} {m}x{k}x{n} armed={armed} {what}");
+            let seed = (case * 71) as u64;
+
+            let a = Matrix::<f32>::random(m, k, seed + 1);
+            let b = Matrix::<f32>::random(k, n, seed + 2);
+            let c = Matrix::<f32>::random(m, n, seed + 3);
+            for precision in F32_ENGINES {
+                let (want, want_d) = metered(&ctx, || {
+                    ctx.try_gemm_op_f32(precision, MatOp::N, &a, MatOp::N, &b, 1.0, 1.0, &c)
+                        .unwrap()
+                });
+                let what = tag(&format!("{precision:?} ctx.try_gemm_f32"));
+                let (got, got_d) =
+                    metered(&ctx, || ctx.try_gemm_f32(precision, &a, &b, &c).unwrap());
+                assert_bits_f32(&got.d, &want.d, &what);
+                assert_eq!(got.stats, want.stats, "{what}");
+                assert_eq!(got_d, want_d, "{what}");
+
+                let what = tag(&format!("{precision:?} FaultyExecutor::armed"));
+                let (got, got_d) =
+                    metered(&ctx, || exec.try_gemm_f32(precision, &a, &b, &c).unwrap());
+                assert_bits_f32(&got.d, &want.d, &what);
+                assert_eq!(got.stats, want.stats, "{what}");
+                assert_eq!(got_d, want_d, "{what}");
+
+                let what = tag(&format!("{precision:?} gemm::try_gemm_f32_on"));
+                let got = gemm::try_gemm_f32_on(&pool, precision, &a, &b, &c).unwrap();
+                assert_bits_f32(&got.d, &want.d, &what);
+                assert_eq!(got.stats, want.stats, "{what}");
+            }
+
+            let a = Matrix::random_c32(m, k, seed + 4);
+            let b = Matrix::random_c32(k, n, seed + 5);
+            let c = Matrix::random_c32(m, n, seed + 6);
+            let (want, want_d) = metered(&ctx, || {
+                ctx.try_cgemm_op_c32(MatOp::N, &a, MatOp::N, &b, C32::ONE, C32::ONE, &c)
+                    .unwrap()
+            });
+            let what = tag("ctx.try_cgemm_c32");
+            let (got, got_d) = metered(&ctx, || ctx.try_cgemm_c32(&a, &b, &c).unwrap());
+            assert_bits_c32(&got.d, &want.d, &what);
+            assert_eq!(got.stats, want.stats, "{what}");
+            assert_eq!(got_d, want_d, "{what}");
+
+            let what = tag("cgemm FaultyExecutor::armed");
+            let (got, got_d) = metered(&ctx, || exec.try_cgemm_c32(&a, &b, &c).unwrap());
+            assert_bits_c32(&got.d, &want.d, &what);
+            assert_eq!(got.stats, want.stats, "{what}");
+            assert_eq!(got_d, want_d, "{what}");
+
+            let what = tag("gemm::try_cgemm_c32_on");
+            let got = gemm::try_cgemm_c32_on(&pool, &a, &b, &c).unwrap();
+            assert_bits_c32(&got.d, &want.d, &what);
+            assert_eq!(got.stats, want.stats, "{what}");
+
+            let a = Matrix::<f64>::random_f64(m, k, seed + 7);
+            let b = Matrix::<f64>::random_f64(k, n, seed + 8);
+            let c = Matrix::<f64>::random_f64(m, n, seed + 9);
+            let p = GemmPrecision::Fp64Emulated;
+            let (want, want_d) = metered(&ctx, || {
+                ctx.try_gemm_op_f64(p, MatOp::N, &a, MatOp::N, &b, 1.0, 1.0, &c)
+                    .unwrap()
+            });
+            let what = tag("ctx.try_gemm_f64");
+            let (got, got_d) = metered(&ctx, || ctx.try_gemm_f64(p, &a, &b, &c).unwrap());
+            assert_bits_f64(&got.d, &want.d, &what);
+            assert_eq!(got.stats, want.stats, "{what}");
+            assert_eq!(got_d, want_d, "{what}");
+
+            let what = tag("gemm::try_gemm_f64_on");
+            let got = gemm::try_gemm_f64_on(&pool, p, &a, &b, &c).unwrap();
+            assert_bits_f64(&got.d, &want.d, &what);
+            assert_eq!(got.stats, want.stats, "{what}");
         }
     }
 }
