@@ -39,10 +39,15 @@
 //!
 //! Only the per-tile reduction depends on whether a [`FaultPlan`] is
 //! armed. Unarmed, tiles run the cache-blocked panel epochs of
-//! [`KPlan`] through the SIMD row pipeline. Armed, every k-chunk is
-//! verified against Huang–Abraham checksums computed from the **packed**
-//! planes (after alpha folding, op/mirror views, and quantisation, so
-//! every precision is checkable), and recovery is hierarchical:
+//! [`KPlan`] through the SIMD row pipeline. Armed, tiles run the *same*
+//! panel kernels one k-chunk per call, with a [`Checksum`] residue sink in
+//! place of the no-op one: the chunk's computed checksum comes out of the
+//! kernel pass itself (see [`m3xu_mxu::abft::ResidueSink`]), and an
+//! injected fault lands in the rounded tile afterwards
+//! ([`m3xu_mxu::fault::inject`]). Every chunk is verified against
+//! Huang–Abraham checksums expected from the **packed** planes (after
+//! alpha folding, op/mirror views, and quantisation, so every precision
+//! is checkable), and recovery is hierarchical:
 //!
 //! * a **checksum mismatch** restores the chunk's seeds and re-executes
 //!   only that chunk (each attempt is a fresh fault site) — up to
@@ -64,10 +69,10 @@ use crate::context::{self, GemmSample, M3xuContext};
 use crate::gemm::{check_precision, validate_gemm_shapes, GemmPrecision, GemmResult};
 use crate::pool::WorkerPool;
 use m3xu_fp::complex::Complex;
-use m3xu_mxu::abft::{self, Checksum};
+use m3xu_mxu::abft::{self, Checksum, NoResidue, ResidueSink};
 use m3xu_mxu::dpu::DotProductUnit;
 use m3xu_mxu::error::M3xuError;
-use m3xu_mxu::fault::{FaultPlan, FaultSummary, MmaFault, TaskFault};
+use m3xu_mxu::fault::{self, FaultPlan, FaultSummary, FaultTarget, TaskFault};
 use m3xu_mxu::matrix::{MatOp, MatSource, Matrix, MirrorView, OpView, Triangle};
 use m3xu_mxu::mma::{MmaShape, MmaStats};
 use m3xu_mxu::modes::MxuMode;
@@ -133,8 +138,10 @@ impl OutRegion {
 
 /// An element type the packed driver runs: the alpha/beta scalar
 /// algebra, the source-generic (op/alpha-aware) packers, the panel
-/// executor, and the per-k-chunk checksum pair of a checked run.
-pub(crate) trait PackedElem: Copy + Default + Send + Sync + 'static {
+/// executor, and the expected per-k-chunk checksum of a checked run (the
+/// computed side comes out of the panel executor itself, and
+/// [`FaultTarget`] is where an injected fault lands).
+pub(crate) trait PackedElem: FaultTarget + Default + Send + Sync + 'static {
     /// Bytes per reduction element in the packed value plane (`B` side) —
     /// what the cache-blocking plan sizes its panels around.
     const VAL_BYTES: usize;
@@ -170,9 +177,10 @@ pub(crate) trait PackedElem: Copy + Default + Send + Sync + 'static {
     ) -> Result<PackedOperand, M3xuError>;
     /// Execute a whole `[k0, kend)` reduction panel on one tile
     /// (row-major `rows x cols` in `acc`), chunked at `frag_k`, through
-    /// the SIMD row pipeline where eligible.
+    /// the SIMD row pipeline where eligible, reporting every element's
+    /// exact pre-rounding residue into `sink`.
     #[allow(clippy::too_many_arguments)]
-    fn execute_panel(
+    fn execute_panel<S: ResidueSink>(
         dpu: &mut DotProductUnit,
         a: &PackedOperand,
         b: &PackedOperand,
@@ -184,6 +192,7 @@ pub(crate) trait PackedElem: Copy + Default + Send + Sync + 'static {
         kend: usize,
         frag_k: usize,
         acc: &mut [Self],
+        sink: &mut S,
     );
     /// Expected checksum of one k-chunk, from the tile's **packed**
     /// operand bands and its pre-chunk accumulator (`seeds`, row-major
@@ -200,23 +209,6 @@ pub(crate) trait PackedElem: Copy + Default + Send + Sync + 'static {
         cols: usize,
         k0: usize,
         kend: usize,
-    ) -> Checksum;
-    /// Execute one `frag_k` chunk, reporting the computed checksum and
-    /// (optionally) corrupting one product on the way out of the
-    /// datapath.
-    #[allow(clippy::too_many_arguments)]
-    fn execute_checked(
-        dpu: &mut DotProductUnit,
-        a: &PackedOperand,
-        b: &PackedOperand,
-        r0: usize,
-        rows: usize,
-        c0: usize,
-        cols: usize,
-        k0: usize,
-        klen: usize,
-        acc: &mut [Self],
-        fault: Option<&MmaFault>,
     ) -> Checksum;
 }
 
@@ -265,7 +257,7 @@ impl PackedElem for f32 {
     ) -> Result<PackedOperand, M3xuError> {
         PackedOperand::try_pack_cols_f32_src_in(src, 1.0, mode, storage)
     }
-    fn execute_panel(
+    fn execute_panel<S: ResidueSink>(
         dpu: &mut DotProductUnit,
         a: &PackedOperand,
         b: &PackedOperand,
@@ -277,8 +269,9 @@ impl PackedElem for f32 {
         kend: usize,
         frag_k: usize,
         acc: &mut [f32],
+        sink: &mut S,
     ) {
-        dpu.mma_f32_panel_into(a, b, r0, rows, c0, cols, k0, kend, frag_k, acc);
+        dpu.mma_f32_panel_sink_into(a, b, r0, rows, c0, cols, k0, kend, frag_k, acc, sink);
     }
     fn expected_chunk(
         a: &PackedOperand,
@@ -292,21 +285,6 @@ impl PackedElem for f32 {
         kend: usize,
     ) -> Checksum {
         abft::expected_chunk_packed_f32(a, b, seeds, r0, rows, c0, cols, k0, kend)
-    }
-    fn execute_checked(
-        dpu: &mut DotProductUnit,
-        a: &PackedOperand,
-        b: &PackedOperand,
-        r0: usize,
-        rows: usize,
-        c0: usize,
-        cols: usize,
-        k0: usize,
-        klen: usize,
-        acc: &mut [f32],
-        fault: Option<&MmaFault>,
-    ) -> Checksum {
-        dpu.mma_f32_checked_into(a, b, r0, rows, c0, cols, k0, klen, acc, fault)
     }
 }
 
@@ -361,7 +339,7 @@ impl PackedElem for Complex<f32> {
             storage,
         ))
     }
-    fn execute_panel(
+    fn execute_panel<S: ResidueSink>(
         dpu: &mut DotProductUnit,
         a: &PackedOperand,
         b: &PackedOperand,
@@ -373,8 +351,9 @@ impl PackedElem for Complex<f32> {
         kend: usize,
         frag_k: usize,
         acc: &mut [Complex<f32>],
+        sink: &mut S,
     ) {
-        dpu.mma_c32_panel_into(a, b, r0, rows, c0, cols, k0, kend, frag_k, acc);
+        dpu.mma_c32_panel_sink_into(a, b, r0, rows, c0, cols, k0, kend, frag_k, acc, sink);
     }
     fn expected_chunk(
         a: &PackedOperand,
@@ -388,21 +367,6 @@ impl PackedElem for Complex<f32> {
         kend: usize,
     ) -> Checksum {
         abft::expected_chunk_packed_c32(a, b, seeds, r0, rows, c0, cols, k0, kend)
-    }
-    fn execute_checked(
-        dpu: &mut DotProductUnit,
-        a: &PackedOperand,
-        b: &PackedOperand,
-        r0: usize,
-        rows: usize,
-        c0: usize,
-        cols: usize,
-        k0: usize,
-        klen: usize,
-        acc: &mut [Complex<f32>],
-        fault: Option<&MmaFault>,
-    ) -> Checksum {
-        dpu.mma_c32_checked_into(a, b, r0, rows, c0, cols, k0, klen, acc, fault)
     }
 }
 
@@ -451,7 +415,7 @@ impl PackedElem for f64 {
     ) -> Result<PackedOperand, M3xuError> {
         PackedOperand::try_pack_cols_f64_src_in(src, 1.0, mode, storage)
     }
-    fn execute_panel(
+    fn execute_panel<S: ResidueSink>(
         dpu: &mut DotProductUnit,
         a: &PackedOperand,
         b: &PackedOperand,
@@ -463,8 +427,9 @@ impl PackedElem for f64 {
         kend: usize,
         frag_k: usize,
         acc: &mut [f64],
+        sink: &mut S,
     ) {
-        dpu.mma_f64_panel_into(a, b, r0, rows, c0, cols, k0, kend, frag_k, acc);
+        dpu.mma_f64_panel_sink_into(a, b, r0, rows, c0, cols, k0, kend, frag_k, acc, sink);
     }
     fn expected_chunk(
         a: &PackedOperand,
@@ -478,21 +443,6 @@ impl PackedElem for f64 {
         kend: usize,
     ) -> Checksum {
         abft::expected_chunk_packed_f64(a, b, seeds, r0, rows, c0, cols, k0, kend)
-    }
-    fn execute_checked(
-        dpu: &mut DotProductUnit,
-        a: &PackedOperand,
-        b: &PackedOperand,
-        r0: usize,
-        rows: usize,
-        c0: usize,
-        cols: usize,
-        k0: usize,
-        klen: usize,
-        acc: &mut [f64],
-        fault: Option<&MmaFault>,
-    ) -> Checksum {
-        dpu.mma_f64_checked_into(a, b, r0, rows, c0, cols, k0, klen, acc, fault)
     }
 }
 
@@ -785,8 +735,18 @@ impl<E: PackedElem> Pass<'_, E> {
                     while kb < ke1 {
                         let kbend = (kb + plan.kc1).min(ke1);
                         E::execute_panel(
-                            &mut dpu, self.pa, self.pb, t.i0, t.rows, t.j0, t.cols, kb, kbend,
-                            frag_k, acc,
+                            &mut dpu,
+                            self.pa,
+                            self.pb,
+                            t.i0,
+                            t.rows,
+                            t.j0,
+                            t.cols,
+                            kb,
+                            kbend,
+                            frag_k,
+                            acc,
+                            &mut NoResidue,
                         );
                         kb = kbend;
                     }
@@ -862,7 +822,8 @@ impl<E: PackedElem> Pass<'_, E> {
                             } else {
                                 None
                             };
-                            let computed = E::execute_checked(
+                            let mut computed = Checksum::ZERO;
+                            E::execute_panel(
                                 &mut dpu,
                                 self.pa,
                                 self.pb,
@@ -871,10 +832,14 @@ impl<E: PackedElem> Pass<'_, E> {
                                 t.j0,
                                 t.cols,
                                 k0,
+                                kend,
                                 frag_k,
                                 acc,
-                                fault.as_ref(),
+                                &mut computed,
                             );
+                            if let Some(f) = &fault {
+                                fault::inject(f, acc, &mut computed);
+                            }
                             if expected.matches(&computed) {
                                 chunk_ok = true;
                                 break;

@@ -8,7 +8,9 @@
 //! [`PackedOperand`](m3xu_mxu::packed::PackedOperand) planes once per
 //! call, fragments execute in place out of those planes, and the output
 //! tiles distribute over the persistent [`WorkerPool`]. An armed
-//! [`FaultPlan`] runs the same pipeline with per-chunk ABFT verification.
+//! [`FaultPlan`] runs the same pipeline — the same panel kernels, which
+//! then also emit each chunk's computed checksum — with per-chunk ABFT
+//! verification.
 //!
 //! The original per-tile path is kept alive in [`baseline`] as the
 //! differential-test and benchmark reference; the packed driver is

@@ -24,7 +24,8 @@
 //! in their homomorphic image mod `p = 2^61 - 1` ([`m3xu_fp::residue`]).
 //! The right-hand side (the **expected** checksum) costs `O(rows·cols +
 //! klen·(rows + cols))`; the left-hand side (the **computed** checksum)
-//! falls out of the accumulator state the checked MMA already holds. A
+//! falls out of the exact accumulator state the packed panel kernels
+//! already hold, through a [`ResidueSink`]. A
 //! corrupted product shifts the computed side by a nonzero dyadic delta,
 //! whose residue is nonzero because `p` is prime — detection of a single
 //! corrupted product is *certain*, not probabilistic.
@@ -95,25 +96,6 @@ impl Checksum {
         ok: false,
     };
 
-    /// Accumulate a real element residue (`None` poisons the checksum).
-    pub fn absorb_re(&mut self, r: Option<u64>) {
-        match r {
-            Some(r) if self.ok => self.re = add_m61(self.re, r),
-            _ => self.ok = false,
-        }
-    }
-
-    /// Accumulate a complex element residue pair.
-    pub fn absorb_pair(&mut self, r: Option<(u64, u64)>) {
-        match r {
-            Some((re, im)) if self.ok => {
-                self.re = add_m61(self.re, re);
-                self.im = add_m61(self.im, im);
-            }
-            _ => self.ok = false,
-        }
-    }
-
     /// Does a computed checksum agree with this expected one?
     ///
     /// An unverifiable *expected* side always matches (no claim is made);
@@ -122,6 +104,51 @@ impl Checksum {
     /// a finite, extractable accumulator state.
     pub fn matches(&self, computed: &Checksum) -> bool {
         !self.ok || (computed.ok && self.re == computed.re && self.im == computed.im)
+    }
+}
+
+/// Where the packed panel kernels report the `F_p` residue of each output
+/// element's exact pre-rounding value, taken from the same state the
+/// rounder consumes on whichever tier ran the element — the SIMD 128-bit
+/// window, the scalar fast path's contribution list, or the Kulisch
+/// register. The residue is passed lazily: the unchecked pipeline's
+/// [`NoResidue`] never evaluates it, so that instantiation is the plain
+/// kernel, while a [`Checksum`] sums it into the chunk's computed side.
+pub trait ResidueSink {
+    /// Absorb a real element's residue (`None`: specials poisoned it).
+    fn absorb_re(&mut self, r: impl FnOnce() -> Option<u64>);
+    /// Absorb a complex element's residue pair.
+    fn absorb_pair(&mut self, r: impl FnOnce() -> Option<(u64, u64)>);
+}
+
+/// The unchecked pipeline's sink: keeps nothing, computes nothing.
+pub struct NoResidue;
+
+impl ResidueSink for NoResidue {
+    #[inline(always)]
+    fn absorb_re(&mut self, _: impl FnOnce() -> Option<u64>) {}
+    #[inline(always)]
+    fn absorb_pair(&mut self, _: impl FnOnce() -> Option<(u64, u64)>) {}
+}
+
+/// A `None` residue poisons the checksum (it becomes unverifiable).
+impl ResidueSink for Checksum {
+    #[inline]
+    fn absorb_re(&mut self, r: impl FnOnce() -> Option<u64>) {
+        match r() {
+            Some(r) if self.ok => self.re = add_m61(self.re, r),
+            _ => self.ok = false,
+        }
+    }
+    #[inline]
+    fn absorb_pair(&mut self, r: impl FnOnce() -> Option<(u64, u64)>) {
+        match r() {
+            Some((re, im)) if self.ok => {
+                self.re = add_m61(self.re, re);
+                self.im = add_m61(self.im, im);
+            }
+            _ => self.ok = false,
+        }
     }
 }
 
@@ -142,8 +169,8 @@ fn cmul_m61(a: (u64, u64), b: (u64, u64)) -> (u64, u64) {
 
 /// `F_p` residue of the exact dyadic value one [`BufferEntry`] denotes
 /// (`±mant · 2^pow`); `None` for a special-valued entry, which has no
-/// dyadic value. This is the same map the checked executors apply to
-/// their contribution lists, so expected and computed sides agree
+/// dyadic value. This is the same map the panel kernels apply to their
+/// exact chunk values, so expected and computed sides agree
 /// definitionally on what each lane is worth.
 pub fn entry_residue(e: &BufferEntry) -> Option<u64> {
     if e.special.is_some() {
@@ -231,7 +258,7 @@ pub fn expected_chunk_packed_f32(
 ) -> Checksum {
     let mut sum = Checksum::ZERO;
     for &s in &seeds[..rows * cols] {
-        sum.absorb_re(residue_f32(s));
+        sum.absorb_re(|| residue_f32(s));
         if !sum.ok {
             return Checksum::UNVERIFIABLE;
         }
@@ -256,7 +283,7 @@ pub fn expected_chunk_packed_f64(
 ) -> Checksum {
     let mut sum = Checksum::ZERO;
     for &s in &seeds[..rows * cols] {
-        sum.absorb_re(residue_f64(s));
+        sum.absorb_re(|| residue_f64(s));
         if !sum.ok {
             return Checksum::UNVERIFIABLE;
         }
@@ -283,7 +310,7 @@ pub fn expected_chunk_packed_c32(
 ) -> Checksum {
     let mut sum = Checksum::ZERO;
     for &s in &seeds[..rows * cols] {
-        sum.absorb_pair(residue_c32(s));
+        sum.absorb_pair(|| residue_c32(s));
         if !sum.ok {
             return Checksum::UNVERIFIABLE;
         }

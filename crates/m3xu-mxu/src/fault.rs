@@ -26,6 +26,9 @@
 //!
 //! [`M3xuError::FaultDetected`]: crate::error::M3xuError::FaultDetected
 
+use crate::abft::Checksum;
+use m3xu_fp::complex::Complex;
+use m3xu_fp::residue::{add_m61, residue_f32, residue_f64, sub_m61};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Once;
 
@@ -40,8 +43,8 @@ const MAX_STALL_MS: u64 = 5;
 
 /// A corruption applied to one rounded MMA product of a fragment.
 ///
-/// The corruption is modelled *inside* the accumulator state: the checked
-/// MMA corrupts both the value it writes back and the residue it reports,
+/// The corruption is modelled *inside* the accumulator state: [`inject`]
+/// corrupts both the drained value and the chunk's computed residue,
 /// exactly as a flipped storage bit would. Detection then follows from the
 /// checksum identity, not from the injector cooperating with the checker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -341,6 +344,75 @@ pub(crate) fn corrupt_f64(v: f64, fault: &MmaFault) -> Option<f64> {
         Some(candidate)
     } else {
         Some(f64::from_bits(bits ^ 1))
+    }
+}
+
+/// An accumulator element a fault can land in: its component slots (one
+/// for a real value, re then im for a complex one) and how each corrupts.
+pub trait FaultTarget: Copy {
+    /// Component slots per element.
+    const SLOTS: usize;
+    /// Apply `fault` to component `slot`, returning the residues of the
+    /// honest and the corrupted value, or `None` when the component is
+    /// not a fault target (specials bypass the multiplier array).
+    fn corrupt(&mut self, slot: usize, fault: &MmaFault) -> Option<(Option<u64>, Option<u64>)>;
+}
+
+impl FaultTarget for f32 {
+    const SLOTS: usize = 1;
+    fn corrupt(&mut self, _slot: usize, fault: &MmaFault) -> Option<(Option<u64>, Option<u64>)> {
+        let cv = corrupt_f32(*self, fault)?;
+        let old = std::mem::replace(self, cv);
+        Some((residue_f32(old), residue_f32(cv)))
+    }
+}
+
+impl FaultTarget for f64 {
+    const SLOTS: usize = 1;
+    fn corrupt(&mut self, _slot: usize, fault: &MmaFault) -> Option<(Option<u64>, Option<u64>)> {
+        let cv = corrupt_f64(*self, fault)?;
+        let old = std::mem::replace(self, cv);
+        Some((residue_f64(old), residue_f64(cv)))
+    }
+}
+
+impl FaultTarget for Complex<f32> {
+    const SLOTS: usize = 2;
+    fn corrupt(&mut self, slot: usize, fault: &MmaFault) -> Option<(Option<u64>, Option<u64>)> {
+        let part = if slot == 0 {
+            &mut self.re
+        } else {
+            &mut self.im
+        };
+        part.corrupt(0, fault)
+    }
+}
+
+/// Inject `fault` into one just-executed k-chunk: corrupt one rounded
+/// product of the row-major tile `acc` and shift the chunk's `computed`
+/// checksum by the corruption, exactly as a flipped storage bit in the
+/// accumulator would shift both the drained value and its residue. The
+/// fault's lane selects component slot `lane % (elements · SLOTS)`; the
+/// checksum identity then exposes the corruption against the expected
+/// side.
+pub fn inject<E: FaultTarget>(fault: &MmaFault, acc: &mut [E], computed: &mut Checksum) {
+    let slots = (acc.len() * E::SLOTS) as u64;
+    if slots == 0 {
+        return;
+    }
+    let slot = (fault.lane() % slots) as usize;
+    let component = slot % E::SLOTS;
+    let Some(shift) = acc[slot / E::SLOTS].corrupt(component, fault) else {
+        return;
+    };
+    let part = if component == 0 {
+        &mut computed.re
+    } else {
+        &mut computed.im
+    };
+    match shift {
+        (Some(old), Some(new)) if computed.ok => *part = add_m61(sub_m61(*part, old), new),
+        _ => computed.ok = false,
     }
 }
 

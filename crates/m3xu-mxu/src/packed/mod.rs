@@ -38,23 +38,34 @@
 //! exactness argument and the `M3XU_SIMD` kill switch. The per-chunk
 //! scalar executors stay intact as the differential oracle and the
 //! fallback for partial rows, specials, and wide exponent spreads.
+//!
+//! ## Checked runs use the same kernels
+//!
+//! Each element type has one panel body, generic over a
+//! [`ResidueSink`]: the `*_panel_into` entry points instantiate it with
+//! the no-op [`NoResidue`], the `*_panel_sink_into` entry points let the
+//! ABFT-checked driver pass a [`crate::abft::Checksum`] instead. Every
+//! tier reports the residue of the exact value it rounds, so a checked
+//! chunk takes whichever tier an unchecked one would, and pays only the
+//! residue fold on top.
 
 pub mod simd;
 
-use crate::abft::Checksum;
+use crate::abft::{NoResidue, ResidueSink};
 use crate::buffer::{
     decode_fp32, decode_fp64_slices, decode_narrow, decode_tf32_truncating, BufferEntry,
 };
 use crate::dpu::{DotProductUnit, LaneOp, Target};
 use crate::error::M3xuError;
-use crate::fault::MmaFault;
 use crate::matrix::{MatSource, Matrix};
 use crate::mma::{MmaShape, MmaStats};
 use crate::modes::MxuMode;
 use crate::unit::Mxu;
 use m3xu_fp::complex::Complex;
 use m3xu_fp::format::{BF16, FP16, TF32};
+use m3xu_fp::residue::residue_i128;
 use m3xu_fp::softfloat::round_to_format;
+use std::ops::Range;
 
 /// Buffer entries the data-assignment stage provisions per operand element
 /// in `mode` — 1 for the narrow formats, 2 for the hi/lo split of the FP32
@@ -847,38 +858,6 @@ fn build_fast_real(
     Some(dot)
 }
 
-/// Attempt one real-mode output element on the fast path.
-#[inline]
-fn try_fast_real(
-    seed: f32,
-    av: &[BufferEntry],
-    bv: &[BufferEntry],
-    k0: usize,
-    kend: usize,
-    epe: usize,
-    truncated: bool,
-) -> Option<f32> {
-    build_fast_real(seed, av, bv, k0, kend, epe, truncated)?.reduce()
-}
-
-/// Fast path plus the `F_p` residue of the exact pre-rounding value, for
-/// the ABFT-checked drivers. The residue is of whatever term schedule the
-/// datapath ran — truncated or full — because the contribution list *is*
-/// that schedule; the expected side mirrors the same truncation rule.
-#[inline]
-fn try_fast_real_checked(
-    seed: f32,
-    av: &[BufferEntry],
-    bv: &[BufferEntry],
-    k0: usize,
-    kend: usize,
-    epe: usize,
-    truncated: bool,
-) -> Option<(f32, u64)> {
-    let dot = build_fast_real(seed, av, bv, k0, kend, epe, truncated)?;
-    Some((dot.reduce()?, dot.residue_m61()))
-}
-
 /// Collect one FP32C output element's contributions for the fast path.
 #[inline]
 fn build_fast_c32(
@@ -913,40 +892,15 @@ fn build_fast_c32(
     Some((re, im))
 }
 
-/// Attempt one FP32C output element (both components) on the fast path.
-#[inline]
-fn try_fast_c32(
-    seed: Complex<f32>,
-    av: &[BufferEntry],
-    bv: &[BufferEntry],
-    k0: usize,
-    kend: usize,
-) -> Option<Complex<f32>> {
-    let (re, im) = build_fast_c32(seed, av, bv, k0, kend)?;
-    Some(Complex::new(re.reduce()?, im.reduce()?))
-}
-
-/// Fast path plus the residue pair of the exact pre-rounding values.
-#[inline]
-fn try_fast_c32_checked(
-    seed: Complex<f32>,
-    av: &[BufferEntry],
-    bv: &[BufferEntry],
-    k0: usize,
-    kend: usize,
-) -> Option<(Complex<f32>, u64, u64)> {
-    let (re, im) = build_fast_c32(seed, av, bv, k0, kend)?;
-    let (vr, vi) = (re.reduce()?, im.reduce()?);
-    Some((Complex::new(vr, vi), re.residue_m61(), im.residue_m61()))
-}
-
 /// One real-mode output element over chunk `[k0, kend)`: the fast exact
 /// window, else the Kulisch drain. The single definition shared by the
 /// per-chunk executor and the SIMD panel's fallback — both paths are the
-/// same code, not merely equivalent code.
+/// same code, not merely equivalent code. The residue `sink` receives is
+/// of whatever term schedule ran — truncated or full — because the
+/// contribution list and the register *are* that schedule.
 #[allow(clippy::too_many_arguments)]
 #[inline]
-fn scalar_element_real(
+fn scalar_element_real<S: ResidueSink>(
     dpu: &mut DotProductUnit,
     seed: f32,
     av: &[BufferEntry],
@@ -956,14 +910,18 @@ fn scalar_element_real(
     epe: usize,
     truncated: bool,
     lanes_per_element: u64,
+    sink: &mut S,
 ) -> f32 {
     // Fast path: exact integer reduction in a 128-bit window, bit-
     // identical to the Kulisch drain below (see `fast_round_f32`).
     // Specials, wide exponent spreads, and oversized reductions fall
     // through to the general path.
-    if let Some(v) = try_fast_real(seed, av, bv, k0, kend, epe, truncated) {
-        dpu.lane_ops += lanes_per_element;
-        return v;
+    if let Some(dot) = build_fast_real(seed, av, bv, k0, kend, epe, truncated) {
+        if let Some(v) = dot.reduce() {
+            dpu.lane_ops += lanes_per_element;
+            sink.absorb_re(|| Some(dot.residue_m61()));
+            return v;
+        }
     }
     dpu.clear_real();
     dpu.seed_real(seed as f64);
@@ -1017,55 +975,31 @@ fn scalar_element_real(
             }
         }
     }
+    sink.absorb_re(|| dpu.real_residue_m61());
     dpu.read_real_f32()
-}
-
-/// One emulated-FP64 output element over chunk `[k0, kend)`: the full
-/// `N x N` slice cross product accumulated exactly in the Kulisch
-/// register, seeded with the incoming `f64` accumulator (exact — no
-/// narrowing) and drained back to `f64` once per chunk. There is no
-/// 128-bit fast window here: the 53-bit seed and the wider slice family
-/// exceed its design envelope, and the emulated mode is the precision
-/// dial's accuracy endpoint, not its speed endpoint.
-fn scalar_element_f64(
-    dpu: &mut DotProductUnit,
-    seed: f64,
-    av: &[BufferEntry],
-    bv: &[BufferEntry],
-    k0: usize,
-    kend: usize,
-    epe: usize,
-) -> f64 {
-    dpu.clear_real();
-    dpu.seed_real(seed);
-    for k in k0..kend {
-        for i in 0..epe {
-            for j in 0..epe {
-                dpu.execute_lane_op(&lane(av[epe * k + i], bv[epe * k + j], false, Target::Real));
-            }
-        }
-    }
-    dpu.read_real_f64()
 }
 
 /// One FP32C output element over chunk `[k0, kend)` — the complex
 /// counterpart of [`scalar_element_real`].
 #[inline]
-fn scalar_element_c32(
+fn scalar_element_c32<S: ResidueSink>(
     dpu: &mut DotProductUnit,
     seed: Complex<f32>,
     av: &[BufferEntry],
     bv: &[BufferEntry],
     k0: usize,
     kend: usize,
-    lanes_per_element: u64,
+    sink: &mut S,
 ) -> Complex<f32> {
     // Fast path (see `scalar_element_real`): both components reduced
     // exactly in 128-bit windows, or the whole element falls back to the
     // Kulisch pipeline.
-    if let Some(v) = try_fast_c32(seed, av, bv, k0, kend) {
-        dpu.lane_ops += lanes_per_element;
-        return v;
+    if let Some((re, im)) = build_fast_c32(seed, av, bv, k0, kend) {
+        if let (Some(vr), Some(vi)) = (re.reduce(), im.reduce()) {
+            dpu.lane_ops += (kend.saturating_sub(k0) * 16) as u64;
+            sink.absorb_pair(|| Some((re.residue_m61(), im.residue_m61())));
+            return Complex::new(vr, vi);
+        }
     }
     dpu.clear();
     dpu.seed_real(seed.re as f64);
@@ -1094,7 +1028,29 @@ fn scalar_element_c32(
         dpu.execute_lane_op(&lane(xih, yrl, false, Target::Imag));
         dpu.execute_lane_op(&lane(xil, yrh, false, Target::Imag));
     }
+    sink.absorb_pair(|| Some((dpu.real_residue_m61()?, dpu.imag_residue_m61()?)));
     Complex::new(dpu.read_real_f32(), dpu.read_imag_f32())
+}
+
+/// One panel call's operands and output block: rows `r0..r0 + rows` of
+/// the row-packed `a` against columns `c0..c0 + cols` of the
+/// column-packed `b`.
+#[derive(Clone, Copy)]
+struct Panel<'p> {
+    a: &'p PackedOperand,
+    b: &'p PackedOperand,
+    r0: usize,
+    rows: usize,
+    c0: usize,
+    cols: usize,
+}
+
+impl Panel<'_> {
+    /// Operand vectors of output element `(i, j)`.
+    #[inline]
+    fn vecs(&self, i: usize, j: usize) -> (&[BufferEntry], &[BufferEntry]) {
+        (self.a.vec(self.r0 + i), self.b.vec(self.c0 + j))
+    }
 }
 
 impl DotProductUnit {
@@ -1121,25 +1077,47 @@ impl DotProductUnit {
         assert_eq!(a.mode, b.mode, "operand modes disagree");
         assert_eq!(a.len, b.len, "reduction lengths disagree");
         assert!(acc.len() >= rows * cols, "accumulator scratch too short");
-        let kend = (k0 + klen).min(a.len);
-        let epe = a.epe;
-        let truncated = a.mode == MxuMode::M3xuFp32Fast;
-        let lanes_per_element = (kend.saturating_sub(k0)) as u64 * a.mode.terms_per_mac();
-        for i in 0..rows {
-            let av = a.vec(r0 + i);
-            for j in 0..cols {
-                let bv = b.vec(c0 + j);
-                let d = &mut acc[i * cols + j];
+        let p = Panel {
+            a,
+            b,
+            r0,
+            rows,
+            c0,
+            cols,
+        };
+        self.chunk_f32(p, k0..(k0 + klen).min(a.len), acc, &mut NoResidue);
+    }
+
+    /// The scalar body of one real-mode chunk: every element through
+    /// [`scalar_element_real`]. Shared by
+    /// [`mma_f32_into`](DotProductUnit::mma_f32_into) and the panel's
+    /// non-SIMD path.
+    fn chunk_f32<S: ResidueSink>(
+        &mut self,
+        p: Panel,
+        k: Range<usize>,
+        acc: &mut [f32],
+        sink: &mut S,
+    ) {
+        let epe = p.a.epe;
+        let truncated = p.a.mode == MxuMode::M3xuFp32Fast;
+        let lanes_per_element = k.len() as u64 * p.a.mode.terms_per_mac();
+        for i in 0..p.rows {
+            let av = p.a.vec(p.r0 + i);
+            for j in 0..p.cols {
+                let bv = p.b.vec(p.c0 + j);
+                let d = &mut acc[i * p.cols + j];
                 *d = scalar_element_real(
                     self,
                     *d,
                     av,
                     bv,
-                    k0,
-                    kend,
+                    k.start,
+                    k.end,
                     epe,
                     truncated,
                     lanes_per_element,
+                    sink,
                 );
             }
         }
@@ -1165,14 +1143,32 @@ impl DotProductUnit {
         assert_eq!(b.mode, MxuMode::M3xuFp32c, "b is not FP32C-packed");
         assert_eq!(a.len, b.len, "reduction lengths disagree");
         assert!(acc.len() >= rows * cols, "accumulator scratch too short");
-        let kend = (k0 + klen).min(a.len);
-        let lanes_per_element = (kend.saturating_sub(k0) * 16) as u64;
-        for i in 0..rows {
-            let av = a.vec(r0 + i);
-            for j in 0..cols {
-                let bv = b.vec(c0 + j);
-                let d = &mut acc[i * cols + j];
-                *d = scalar_element_c32(self, *d, av, bv, k0, kend, lanes_per_element);
+        let p = Panel {
+            a,
+            b,
+            r0,
+            rows,
+            c0,
+            cols,
+        };
+        self.chunk_c32(p, k0..(k0 + klen).min(a.len), acc, &mut NoResidue);
+    }
+
+    /// The scalar body of one FP32C chunk; see
+    /// [`chunk_f32`](DotProductUnit::chunk_f32).
+    fn chunk_c32<S: ResidueSink>(
+        &mut self,
+        p: Panel,
+        k: Range<usize>,
+        acc: &mut [Complex<f32>],
+        sink: &mut S,
+    ) {
+        for i in 0..p.rows {
+            let av = p.a.vec(p.r0 + i);
+            for j in 0..p.cols {
+                let bv = p.b.vec(p.c0 + j);
+                let d = &mut acc[i * p.cols + j];
+                *d = scalar_element_c32(self, *d, av, bv, k.start, k.end, sink);
             }
         }
     }
@@ -1199,14 +1195,53 @@ impl DotProductUnit {
         assert_eq!(b.mode, MxuMode::M3xuFp64Emu, "b is not FP64-slice-packed");
         assert_eq!(a.len, b.len, "reduction lengths disagree");
         assert!(acc.len() >= rows * cols, "accumulator scratch too short");
-        let kend = (k0 + klen).min(a.len);
-        let epe = a.epe;
-        for i in 0..rows {
-            let av = a.vec(r0 + i);
-            for j in 0..cols {
-                let bv = b.vec(c0 + j);
-                let d = &mut acc[i * cols + j];
-                *d = scalar_element_f64(self, *d, av, bv, k0, kend, epe);
+        let p = Panel {
+            a,
+            b,
+            r0,
+            rows,
+            c0,
+            cols,
+        };
+        self.chunk_f64(p, k0..(k0 + klen).min(a.len), acc, &mut NoResidue);
+    }
+
+    /// The body of one emulated-FP64 chunk. Per element: the full `N x N`
+    /// slice cross product accumulated exactly in the Kulisch register,
+    /// seeded with the incoming `f64` accumulator (exact — no narrowing)
+    /// and drained back to `f64` once per chunk. There is no 128-bit fast
+    /// window here: the 53-bit seed and the wider slice family exceed its
+    /// design envelope, and the emulated mode is the precision dial's
+    /// accuracy endpoint, not its speed endpoint.
+    fn chunk_f64<S: ResidueSink>(
+        &mut self,
+        p: Panel,
+        k: Range<usize>,
+        acc: &mut [f64],
+        sink: &mut S,
+    ) {
+        let epe = p.a.epe;
+        for i in 0..p.rows {
+            let av = p.a.vec(p.r0 + i);
+            for j in 0..p.cols {
+                let bv = p.b.vec(p.c0 + j);
+                let d = &mut acc[i * p.cols + j];
+                self.clear_real();
+                self.seed_real(*d);
+                for kk in k.clone() {
+                    for si in 0..epe {
+                        for sj in 0..epe {
+                            self.execute_lane_op(&lane(
+                                av[epe * kk + si],
+                                bv[epe * kk + sj],
+                                false,
+                                Target::Real,
+                            ));
+                        }
+                    }
+                }
+                sink.absorb_re(|| self.real_residue_m61());
+                *d = self.read_real_f64();
             }
         }
     }
@@ -1230,13 +1265,45 @@ impl DotProductUnit {
         frag_k: usize,
         acc: &mut [f64],
     ) {
+        let sink = &mut NoResidue;
+        self.mma_f64_panel_sink_into(a, b, r0, rows, c0, cols, k0, kend, frag_k, acc, sink);
+    }
+
+    /// [`mma_f64_panel_into`](DotProductUnit::mma_f64_panel_into),
+    /// reporting every element's exact pre-rounding residue into `sink`
+    /// (drained from the same Kulisch register as the rounded value); see
+    /// [`mma_f32_panel_sink_into`](DotProductUnit::mma_f32_panel_sink_into).
+    #[allow(clippy::too_many_arguments)]
+    pub fn mma_f64_panel_sink_into<S: ResidueSink>(
+        &mut self,
+        a: &PackedOperand,
+        b: &PackedOperand,
+        r0: usize,
+        rows: usize,
+        c0: usize,
+        cols: usize,
+        k0: usize,
+        kend: usize,
+        frag_k: usize,
+        acc: &mut [f64],
+        sink: &mut S,
+    ) {
+        assert_eq!(a.mode, MxuMode::M3xuFp64Emu, "a is not FP64-slice-packed");
+        assert_eq!(b.mode, MxuMode::M3xuFp64Emu, "b is not FP64-slice-packed");
+        assert_eq!(a.len, b.len, "reduction lengths disagree");
+        assert!(acc.len() >= rows * cols, "accumulator scratch too short");
         assert!(frag_k > 0, "fragment depth must be positive");
+        let p = Panel {
+            a,
+            b,
+            r0,
+            rows,
+            c0,
+            cols,
+        };
         let kend = kend.min(a.len);
-        let mut ck0 = k0;
-        while ck0 < kend {
-            let klen = frag_k.min(kend - ck0);
-            self.mma_f64_into(a, b, r0, rows, c0, cols, ck0, klen, acc);
-            ck0 += klen;
+        for ck0 in (k0..kend).step_by(frag_k) {
+            self.chunk_f64(p, ck0..(ck0 + frag_k).min(kend), acc, sink);
         }
     }
 
@@ -1265,10 +1332,48 @@ impl DotProductUnit {
         frag_k: usize,
         acc: &mut [f32],
     ) {
+        let sink = &mut NoResidue;
+        self.mma_f32_panel_sink_into(a, b, r0, rows, c0, cols, k0, kend, frag_k, acc, sink);
+    }
+
+    /// [`mma_f32_panel_into`](DotProductUnit::mma_f32_panel_into), also
+    /// reporting into `sink` the `F_p` residue of every output element's
+    /// exact pre-rounding value in every chunk. Each residue is taken from
+    /// the same exact value the rounder consumes, on whichever tier ran
+    /// the element: the SIMD row kernels' 128-bit window, the scalar fast
+    /// path's contribution list, or the Kulisch register.
+    ///
+    /// With [`NoResidue`] this *is* the unchecked panel. The ABFT-checked
+    /// driver runs one chunk per call into a [`crate::abft::Checksum`] —
+    /// the chunk's computed checksum — so a checked chunk takes the SIMD
+    /// row kernels whenever an unchecked one would.
+    #[allow(clippy::too_many_arguments)]
+    pub fn mma_f32_panel_sink_into<S: ResidueSink>(
+        &mut self,
+        a: &PackedOperand,
+        b: &PackedOperand,
+        r0: usize,
+        rows: usize,
+        c0: usize,
+        cols: usize,
+        k0: usize,
+        kend: usize,
+        frag_k: usize,
+        acc: &mut [f32],
+        sink: &mut S,
+    ) {
         assert_eq!(a.mode, b.mode, "operand modes disagree");
         assert_eq!(a.len, b.len, "reduction lengths disagree");
         assert!(acc.len() >= rows * cols, "accumulator scratch too short");
         assert!(frag_k > 0, "fragment depth must be positive");
+        let p = Panel {
+            a,
+            b,
+            r0,
+            rows,
+            c0,
+            cols,
+        };
         let kend = kend.min(a.len);
         let level = simd::level();
         // The fast truncated mode is excluded from the SIMD row kernels:
@@ -1282,14 +1387,19 @@ impl DotProductUnit {
             && b.transposed
             && a.mode != MxuMode::M3xuFp32Fast
         {
-            self.simd_panel_f32(level, a, b, r0, rows, c0, k0, kend, frag_k, acc);
+            match level {
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: `level` is clamped to the host's detected
+                // capability, so Avx2 here implies the CPU supports it.
+                simd::SimdLevel::Avx2 => unsafe {
+                    self.simd_panel_f32_avx2(p, k0..kend, frag_k, acc, sink)
+                },
+                _ => self.simd_panel_f32(level, p, k0..kend, frag_k, acc, sink),
+            }
             return;
         }
-        let mut ck0 = k0;
-        while ck0 < kend {
-            let klen = frag_k.min(kend - ck0);
-            self.mma_f32_into(a, b, r0, rows, c0, cols, ck0, klen, acc);
-            ck0 += klen;
+        for ck0 in (k0..kend).step_by(frag_k) {
+            self.chunk_f32(p, ck0..(ck0 + frag_k).min(kend), acc, sink);
         }
     }
 
@@ -1312,11 +1422,41 @@ impl DotProductUnit {
         frag_k: usize,
         acc: &mut [Complex<f32>],
     ) {
+        let sink = &mut NoResidue;
+        self.mma_c32_panel_sink_into(a, b, r0, rows, c0, cols, k0, kend, frag_k, acc, sink);
+    }
+
+    /// [`mma_c32_panel_into`](DotProductUnit::mma_c32_panel_into),
+    /// reporting every element's residue pair into `sink`; see
+    /// [`mma_f32_panel_sink_into`](DotProductUnit::mma_f32_panel_sink_into).
+    #[allow(clippy::too_many_arguments)]
+    pub fn mma_c32_panel_sink_into<S: ResidueSink>(
+        &mut self,
+        a: &PackedOperand,
+        b: &PackedOperand,
+        r0: usize,
+        rows: usize,
+        c0: usize,
+        cols: usize,
+        k0: usize,
+        kend: usize,
+        frag_k: usize,
+        acc: &mut [Complex<f32>],
+        sink: &mut S,
+    ) {
         assert_eq!(a.mode, MxuMode::M3xuFp32c, "a is not FP32C-packed");
         assert_eq!(b.mode, MxuMode::M3xuFp32c, "b is not FP32C-packed");
         assert_eq!(a.len, b.len, "reduction lengths disagree");
         assert!(acc.len() >= rows * cols, "accumulator scratch too short");
         assert!(frag_k > 0, "fragment depth must be positive");
+        let p = Panel {
+            a,
+            b,
+            r0,
+            rows,
+            c0,
+            cols,
+        };
         let kend = kend.min(a.len);
         let level = simd::level();
         if level != simd::SimdLevel::Scalar
@@ -1325,15 +1465,37 @@ impl DotProductUnit {
             && !a.transposed
             && b.transposed
         {
-            self.simd_panel_c32(level, a, b, r0, rows, c0, k0, kend, acc);
+            match level {
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: `level` is clamped to the host's detected
+                // capability, so Avx2 here implies the CPU supports it.
+                simd::SimdLevel::Avx2 => unsafe {
+                    self.simd_panel_c32_avx2(p, k0..kend, acc, sink)
+                },
+                _ => self.simd_panel_c32(level, p, k0..kend, acc, sink),
+            }
             return;
         }
-        let mut ck0 = k0;
-        while ck0 < kend {
-            let klen = frag_k.min(kend - ck0);
-            self.mma_c32_into(a, b, r0, rows, c0, cols, ck0, klen, acc);
-            ck0 += klen;
+        for ck0 in (k0..kend).step_by(frag_k) {
+            self.chunk_c32(p, ck0..(ck0 + frag_k).min(kend), acc, sink);
         }
+    }
+
+    /// The AVX2 build of [`simd_panel_f32`](DotProductUnit::simd_panel_f32):
+    /// `#[target_feature]` lets the row-product kernel inline into the
+    /// panel loop instead of paying a call and a product store/reload per
+    /// chunk.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn simd_panel_f32_avx2<S: ResidueSink>(
+        &mut self,
+        p: Panel,
+        k: Range<usize>,
+        frag_k: usize,
+        acc: &mut [f32],
+        sink: &mut S,
+    ) {
+        self.simd_panel_f32(simd::SimdLevel::Avx2, p, k, frag_k, acc, sink)
     }
 
     /// SIMD body of the real-mode panel: per row, per chunk, form the
@@ -1343,116 +1505,49 @@ impl DotProductUnit {
     /// scalar element path for that one (element, chunk) — the shared
     /// [`scalar_element_real`] — so results match the scalar pipeline bit
     /// for bit no matter which path each element took.
-    /// Dispatch the FP32 panel body compiled for the active vector level.
-    /// The AVX2 wrapper carries `#[target_feature]` so the row-product
-    /// kernel inlines into the panel loop instead of paying a call and a
-    /// product store/reload per chunk.
-    #[allow(clippy::too_many_arguments)]
-    fn simd_panel_f32(
-        &mut self,
-        level: simd::SimdLevel,
-        a: &PackedOperand,
-        b: &PackedOperand,
-        r0: usize,
-        rows: usize,
-        c0: usize,
-        k0: usize,
-        kend: usize,
-        frag_k: usize,
-        acc: &mut [f32],
-    ) {
-        match level {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `level` is clamped to the host's detected
-            // capability, so Avx2 here implies the CPU supports it.
-            simd::SimdLevel::Avx2 => unsafe {
-                self.simd_panel_f32_avx2(a, b, r0, rows, c0, k0, kend, frag_k, acc)
-            },
-            _ => self.simd_panel_f32_body(level, a, b, r0, rows, c0, k0, kend, frag_k, acc),
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn simd_panel_f32_avx2(
-        &mut self,
-        a: &PackedOperand,
-        b: &PackedOperand,
-        r0: usize,
-        rows: usize,
-        c0: usize,
-        k0: usize,
-        kend: usize,
-        frag_k: usize,
-        acc: &mut [f32],
-    ) {
-        self.simd_panel_f32_body(
-            simd::SimdLevel::Avx2,
-            a,
-            b,
-            r0,
-            rows,
-            c0,
-            k0,
-            kend,
-            frag_k,
-            acc,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    fn simd_panel_f32_body(
+    fn simd_panel_f32<S: ResidueSink>(
         &mut self,
         level: simd::SimdLevel,
-        a: &PackedOperand,
-        b: &PackedOperand,
-        r0: usize,
-        rows: usize,
-        c0: usize,
-        k0: usize,
-        kend: usize,
+        p: Panel,
+        k: Range<usize>,
         frag_k: usize,
         acc: &mut [f32],
+        sink: &mut S,
     ) {
-        let epe = a.epe;
-        let n = b.vecs;
-        let alen = a.len;
+        let (n, alen) = (p.b.vecs, p.a.len);
         let mut prods = [[0f64; simd::COLS]; simd::MAX_KLEN];
-        for i in 0..rows {
-            let arow = &a.vals[(r0 + i) * alen..(r0 + i) * alen + alen];
+        for i in 0..p.rows {
+            let arow = &p.a.vals[(p.r0 + i) * alen..(p.r0 + i) * alen + alen];
             let row_acc: &mut [f32; simd::COLS] = (&mut acc[i * simd::COLS..(i + 1) * simd::COLS])
                 .try_into()
                 .expect("panel accumulator row is exactly one fragment row");
             let mut seeds = simd::RowSeeds::load(row_acc);
-            let mut ck0 = k0;
-            while ck0 < kend {
-                let klen = frag_k.min(kend - ck0);
-                simd::row_products(level, arow, &b.vals, n, c0, ck0, klen, &mut prods);
+            for ck0 in k.clone().step_by(frag_k) {
+                let klen = frag_k.min(k.end - ck0);
+                simd::row_products(level, arow, &p.b.vals, n, p.c0, ck0, klen, &mut prods);
                 // Constant-depth dispatch: the rounding kernel fully
                 // unrolls for each chunk depth.
                 match klen {
-                    1 => self.simd_row_chunk::<1>(
-                        level, a, b, &prods, row_acc, &mut seeds, i, r0, c0, ck0, epe,
+                    1 => self.simd_row_chunk::<1, S>(
+                        level, p, i, ck0, &prods, row_acc, &mut seeds, sink,
                     ),
-                    2 => self.simd_row_chunk::<2>(
-                        level, a, b, &prods, row_acc, &mut seeds, i, r0, c0, ck0, epe,
+                    2 => self.simd_row_chunk::<2, S>(
+                        level, p, i, ck0, &prods, row_acc, &mut seeds, sink,
                     ),
-                    3 => self.simd_row_chunk::<3>(
-                        level, a, b, &prods, row_acc, &mut seeds, i, r0, c0, ck0, epe,
+                    3 => self.simd_row_chunk::<3, S>(
+                        level, p, i, ck0, &prods, row_acc, &mut seeds, sink,
                     ),
-                    4 => self.simd_row_chunk::<4>(
-                        level, a, b, &prods, row_acc, &mut seeds, i, r0, c0, ck0, epe,
+                    4 => self.simd_row_chunk::<4, S>(
+                        level, p, i, ck0, &prods, row_acc, &mut seeds, sink,
                     ),
                     _ => unreachable!("fragment depth exceeds the SIMD kernel maximum"),
                 }
-                ck0 += klen;
             }
         }
     }
 
-    /// One `T`-deep chunk across a fragment row's 8 columns: exact
+    /// One `T`-deep chunk across fragment row `i`'s 8 columns: exact
     /// rounding of each column's chunk value, with the per-(element,
     /// chunk) scalar fallback.
     ///
@@ -1461,23 +1556,22 @@ impl DotProductUnit {
     /// vectorised four columns per register; only the final
     /// round-to-f32 (a handful of scalar ops per column) and any
     /// fallback columns run scalar. Below AVX2 the per-column scalar
-    /// accumulate is used unchanged.
+    /// accumulate is used unchanged. Either way the residue `sink`
+    /// receives is of the exact window the rounder consumed.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    fn simd_row_chunk<const T: usize>(
+    fn simd_row_chunk<const T: usize, S: ResidueSink>(
         &mut self,
         level: simd::SimdLevel,
-        a: &PackedOperand,
-        b: &PackedOperand,
+        p: Panel,
+        i: usize,
+        ck0: usize,
         prods: &[[f64; simd::COLS]; simd::MAX_KLEN],
         acc: &mut [f32; simd::COLS],
         seeds: &mut simd::RowSeeds,
-        i: usize,
-        r0: usize,
-        c0: usize,
-        ck0: usize,
-        epe: usize,
+        sink: &mut S,
     ) {
+        let epe = p.a.epe;
         let lanes = (T * epe * epe) as u64;
         #[cfg(not(target_arch = "x86_64"))]
         let _ = level;
@@ -1503,6 +1597,7 @@ impl DotProductUnit {
                     let sum = (((hi[j] as u128) << 64) | lo[j] as u128) as i128;
                     let (sign, frac, weight, finite) = fast_round_parts(sum, base[j] as i32);
                     *d = fast_round_assemble(sign, frac, weight, finite);
+                    sink.absorb_re(|| Some(residue_i128(sum, base[j])));
                     seeds.set(
                         j,
                         simd::ChunkSeed {
@@ -1513,16 +1608,18 @@ impl DotProductUnit {
                         },
                     );
                 } else {
+                    let (av, bv) = p.vecs(i, j);
                     *d = scalar_element_real(
                         self,
                         *d,
-                        a.vec(r0 + i),
-                        b.vec(c0 + j),
+                        av,
+                        bv,
                         ck0,
                         ck0 + T,
                         epe,
                         false,
                         lanes,
+                        sink,
                     );
                     seeds.set(j, simd::ChunkSeed::decode(*d));
                 }
@@ -1539,6 +1636,7 @@ impl DotProductUnit {
                 self.lane_ops += lanes;
                 let (sign, frac, weight, finite) = fast_round_parts(sum, pmin);
                 *d = fast_round_assemble(sign, frac, weight, finite);
+                sink.absorb_re(|| Some(residue_i128(sum, pmin as i64)));
                 seeds.set(
                     j,
                     simd::ChunkSeed {
@@ -1549,20 +1647,24 @@ impl DotProductUnit {
                     },
                 );
             } else {
-                *d = scalar_element_real(
-                    self,
-                    *d,
-                    a.vec(r0 + i),
-                    b.vec(c0 + j),
-                    ck0,
-                    ck0 + T,
-                    epe,
-                    false,
-                    lanes,
-                );
+                let (av, bv) = p.vecs(i, j);
+                *d = scalar_element_real(self, *d, av, bv, ck0, ck0 + T, epe, false, lanes, sink);
                 seeds.set(j, simd::ChunkSeed::decode(*d));
             }
         }
+    }
+
+    /// The AVX2 build of [`simd_panel_c32`](DotProductUnit::simd_panel_c32).
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn simd_panel_c32_avx2<S: ResidueSink>(
+        &mut self,
+        p: Panel,
+        k: Range<usize>,
+        acc: &mut [Complex<f32>],
+        sink: &mut S,
+    ) {
+        self.simd_panel_c32(simd::SimdLevel::Avx2, p, k, acc, sink)
     }
 
     /// SIMD body of the FP32C panel (`frag_k == 1`): per row, per packed
@@ -1571,98 +1673,46 @@ impl DotProductUnit {
     /// `re + a_R·b_R - a_I·b_I` and `im + a_R·b_I + a_I·b_R` exactly.
     /// Either component failing the exact window sends that (element,
     /// chunk) to the shared [`scalar_element_c32`] fallback.
-    #[allow(clippy::too_many_arguments)]
-    fn simd_panel_c32(
-        &mut self,
-        level: simd::SimdLevel,
-        a: &PackedOperand,
-        b: &PackedOperand,
-        r0: usize,
-        rows: usize,
-        c0: usize,
-        k0: usize,
-        kend: usize,
-        acc: &mut [Complex<f32>],
-    ) {
-        match level {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `level` is clamped to the host's detected
-            // capability, so Avx2 here implies the CPU supports it.
-            simd::SimdLevel::Avx2 => unsafe {
-                self.simd_panel_c32_avx2(a, b, r0, rows, c0, k0, kend, acc)
-            },
-            _ => self.simd_panel_c32_body(level, a, b, r0, rows, c0, k0, kend, acc),
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn simd_panel_c32_avx2(
-        &mut self,
-        a: &PackedOperand,
-        b: &PackedOperand,
-        r0: usize,
-        rows: usize,
-        c0: usize,
-        k0: usize,
-        kend: usize,
-        acc: &mut [Complex<f32>],
-    ) {
-        self.simd_panel_c32_body(simd::SimdLevel::Avx2, a, b, r0, rows, c0, k0, kend, acc)
-    }
-
-    #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    fn simd_panel_c32_body(
+    fn simd_panel_c32<S: ResidueSink>(
         &mut self,
         level: simd::SimdLevel,
-        a: &PackedOperand,
-        b: &PackedOperand,
-        r0: usize,
-        rows: usize,
-        c0: usize,
-        k0: usize,
-        kend: usize,
+        p: Panel,
+        k: Range<usize>,
         acc: &mut [Complex<f32>],
+        sink: &mut S,
     ) {
-        let n = b.vecs;
-        let alen = a.len;
+        let (n, alen) = (p.b.vecs, p.a.len);
         // B's value planes: real plane then imaginary plane, each k-major.
-        let (bre_plane, bim_plane) = b.vals.split_at(alen * n);
+        let (bre_plane, bim_plane) = p.b.vals.split_at(alen * n);
         let mut prods = [[0f64; simd::COLS]; 4];
-        for i in 0..rows {
-            let arow = &a.vals[(r0 + i) * 2 * alen..(r0 + i) * 2 * alen + 2 * alen];
+        for i in 0..p.rows {
             #[cfg(target_arch = "x86_64")]
             if level == simd::SimdLevel::Avx2 {
-                self.simd_c32_row_avx2(a, b, bre_plane, bim_plane, arow, i, r0, c0, k0, kend, acc);
+                self.simd_c32_row_avx2(p, i, k.clone(), acc, sink);
                 continue;
             }
-            for k in k0..kend {
-                let (ar, ai) = (arow[2 * k], arow[2 * k + 1]);
-                let bre = &bre_plane[k * n + c0..k * n + c0 + simd::COLS];
-                let bim = &bim_plane[k * n + c0..k * n + c0 + simd::COLS];
+            let arow = &p.a.vals[(p.r0 + i) * 2 * alen..(p.r0 + i + 1) * 2 * alen];
+            for kk in k.clone() {
+                let (ar, ai) = (arow[2 * kk], arow[2 * kk + 1]);
+                let bre = &bre_plane[kk * n + p.c0..kk * n + p.c0 + simd::COLS];
+                let bim = &bim_plane[kk * n + p.c0..kk * n + p.c0 + simd::COLS];
                 simd::row_products_c32(level, ar, ai, bre, bim, &mut prods);
                 for j in 0..simd::COLS {
                     let d = &mut acc[i * simd::COLS + j];
-                    let re = simd::exact_chunk_round(d.re, &[prods[0][j], prods[1][j]]);
-                    let im = simd::exact_chunk_round(d.im, &[prods[2][j], prods[3][j]]);
-                    match (re, im) {
-                        (Some(re), Some(im)) => {
-                            self.lane_ops += 16;
-                            *d = Complex::new(re, im);
-                        }
-                        _ => {
-                            *d = scalar_element_c32(
-                                self,
-                                *d,
-                                a.vec(r0 + i),
-                                b.vec(c0 + j),
-                                k,
-                                k + 1,
-                                16,
-                            );
-                        }
+                    let (sr, pr, okr) =
+                        simd::exact_chunk_accumulate(d.re, &[prods[0][j], prods[1][j]]);
+                    let (si, pi, oki) =
+                        simd::exact_chunk_accumulate(d.im, &[prods[2][j], prods[3][j]]);
+                    if okr && oki {
+                        self.lane_ops += 16;
+                        *d = Complex::new(fast_round_f32(sr, pr), fast_round_f32(si, pi));
+                        sink.absorb_pair(|| {
+                            Some((residue_i128(sr, pr as i64), residue_i128(si, pi as i64)))
+                        });
+                    } else {
+                        let (av, bv) = p.vecs(i, j);
+                        *d = scalar_element_c32(self, *d, av, bv, kk, kk + 1, sink);
                     }
                 }
             }
@@ -1679,23 +1729,18 @@ impl DotProductUnit {
     /// the whole-element scalar fallback, as in the scalar-accumulate
     /// body.
     #[cfg(target_arch = "x86_64")]
-    #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    fn simd_c32_row_avx2(
+    fn simd_c32_row_avx2<S: ResidueSink>(
         &mut self,
-        a: &PackedOperand,
-        b: &PackedOperand,
-        bre_plane: &[f32],
-        bim_plane: &[f32],
-        arow: &[f32],
+        p: Panel,
         i: usize,
-        r0: usize,
-        c0: usize,
-        k0: usize,
-        kend: usize,
+        k: Range<usize>,
         acc: &mut [Complex<f32>],
+        sink: &mut S,
     ) {
-        let n = b.vecs;
+        let (n, alen) = (p.b.vecs, p.a.len);
+        let (bre_plane, bim_plane) = p.b.vals.split_at(alen * n);
+        let arow = &p.a.vals[(p.r0 + i) * 2 * alen..(p.r0 + i + 1) * 2 * alen];
         let row = &mut acc[i * simd::COLS..(i + 1) * simd::COLS];
         let mut re_acc = [0f32; simd::COLS];
         let mut im_acc = [0f32; simd::COLS];
@@ -1710,10 +1755,10 @@ impl DotProductUnit {
             ([0u64; simd::COLS], [0u64; simd::COLS], [0i64; simd::COLS]);
         let (mut lo_i, mut hi_i, mut base_i) =
             ([0u64; simd::COLS], [0u64; simd::COLS], [0i64; simd::COLS]);
-        for k in k0..kend {
-            let (ar, ai) = (arow[2 * k], arow[2 * k + 1]);
-            let bre = &bre_plane[k * n + c0..k * n + c0 + simd::COLS];
-            let bim = &bim_plane[k * n + c0..k * n + c0 + simd::COLS];
+        for kk in k {
+            let (ar, ai) = (arow[2 * kk], arow[2 * kk + 1]);
+            let bre = &bre_plane[kk * n + p.c0..kk * n + p.c0 + simd::COLS];
+            let bim = &bim_plane[kk * n + p.c0..kk * n + p.c0 + simd::COLS];
             simd::row_products_c32(simd::SimdLevel::Avx2, ar, ai, bre, bim, &mut prods);
             // SAFETY: this path is only entered at the Avx2 level, which
             // is clamped to detected host capability.
@@ -1764,16 +1809,13 @@ impl DotProductUnit {
                             finite: fin,
                         },
                     );
+                    sink.absorb_pair(|| {
+                        Some((residue_i128(sr, base_r[j]), residue_i128(si, base_i[j])))
+                    });
                 } else {
-                    let d = scalar_element_c32(
-                        self,
-                        Complex::new(re_acc[j], im_acc[j]),
-                        a.vec(r0 + i),
-                        b.vec(c0 + j),
-                        k,
-                        k + 1,
-                        16,
-                    );
+                    let (av, bv) = p.vecs(i, j);
+                    let seed = Complex::new(re_acc[j], im_acc[j]);
+                    let d = scalar_element_c32(self, seed, av, bv, kk, kk + 1, sink);
                     re_acc[j] = d.re;
                     im_acc[j] = d.im;
                     sre.set(j, simd::ChunkSeed::decode(d.re));
@@ -1784,285 +1826,6 @@ impl DotProductUnit {
         for (j, d) in row.iter_mut().enumerate() {
             *d = Complex::new(re_acc[j], im_acc[j]);
         }
-    }
-
-    /// [`mma_f32_into`](DotProductUnit::mma_f32_into) with ABFT checksum
-    /// extraction and optional fault injection.
-    ///
-    /// Returns the **computed** chunk checksum: the `F_p` residue sum of
-    /// every output element's exact pre-rounding accumulator value (from
-    /// the fast-path contribution list or the Kulisch register — the same
-    /// state the rounded value is drained from). An injected fault
-    /// corrupts that state, shifting the rounded value *and* the reported
-    /// residue together, exactly as a flipped storage bit would; the
-    /// checksum identity then exposes it against the expected side.
-    ///
-    /// Fault-free, this writes bit-identical output to the unchecked
-    /// variant (the arithmetic path is shared, only extraction is added).
-    #[allow(clippy::too_many_arguments)]
-    pub fn mma_f32_checked_into(
-        &mut self,
-        a: &PackedOperand,
-        b: &PackedOperand,
-        r0: usize,
-        rows: usize,
-        c0: usize,
-        cols: usize,
-        k0: usize,
-        klen: usize,
-        acc: &mut [f32],
-        fault: Option<&MmaFault>,
-    ) -> Checksum {
-        use m3xu_fp::residue::{add_m61, residue_f32, sub_m61};
-        assert_eq!(a.mode, b.mode, "operand modes disagree");
-        assert_eq!(a.len, b.len, "reduction lengths disagree");
-        assert!(acc.len() >= rows * cols, "accumulator scratch too short");
-        let kend = (k0 + klen).min(a.len);
-        let epe = a.epe;
-        let truncated = a.mode == MxuMode::M3xuFp32Fast;
-        let lanes_per_element = (kend.saturating_sub(k0)) as u64 * a.mode.terms_per_mac();
-        let target = fault.map(|f| (f.lane() % (rows * cols).max(1) as u64) as usize);
-        let mut sum = Checksum::ZERO;
-        for i in 0..rows {
-            let av = a.vec(r0 + i);
-            for j in 0..cols {
-                let bv = b.vec(c0 + j);
-                let d = &mut acc[i * cols + j];
-                let (mut v, mut res) =
-                    match try_fast_real_checked(*d, av, bv, k0, kend, epe, truncated) {
-                        Some((v, r)) => {
-                            self.lane_ops += lanes_per_element;
-                            (v, Some(r))
-                        }
-                        None => {
-                            self.clear_real();
-                            self.seed_real(*d as f64);
-                            match (epe, truncated) {
-                                (1, _) => {
-                                    for k in k0..kend {
-                                        self.execute_lane_op(&lane(
-                                            av[k],
-                                            bv[k],
-                                            false,
-                                            Target::Real,
-                                        ));
-                                    }
-                                }
-                                (2, false) => {
-                                    for k in k0..kend {
-                                        let (ah, al) = (av[2 * k], av[2 * k + 1]);
-                                        let (bh, bl) = (bv[2 * k], bv[2 * k + 1]);
-                                        self.execute_lane_op(&lane(ah, bh, false, Target::Real));
-                                        self.execute_lane_op(&lane(al, bl, false, Target::Real));
-                                        self.execute_lane_op(&lane(ah, bl, false, Target::Real));
-                                        self.execute_lane_op(&lane(al, bh, false, Target::Real));
-                                    }
-                                }
-                                (2, true) => {
-                                    // The truncated fast schedule: HH, HL,
-                                    // LH — the residue the register reports
-                                    // is of exactly these terms, matching
-                                    // the expected side's truncation rule.
-                                    for k in k0..kend {
-                                        let (ah, al) = (av[2 * k], av[2 * k + 1]);
-                                        let (bh, bl) = (bv[2 * k], bv[2 * k + 1]);
-                                        self.execute_lane_op(&lane(ah, bh, false, Target::Real));
-                                        self.execute_lane_op(&lane(ah, bl, false, Target::Real));
-                                        self.execute_lane_op(&lane(al, bh, false, Target::Real));
-                                    }
-                                }
-                                _ => {
-                                    unreachable!("real f32 packing uses 1 or 2 entries per element")
-                                }
-                            }
-                            (self.read_real_f32(), self.real_residue_m61())
-                        }
-                    };
-                if let (Some(f), Some(t)) = (fault, target) {
-                    if i * cols + j == t {
-                        if let Some(cv) = crate::fault::corrupt_f32(v, f) {
-                            res = match (res, residue_f32(v), residue_f32(cv)) {
-                                (Some(r), Some(old), Some(new)) => {
-                                    Some(add_m61(sub_m61(r, old), new))
-                                }
-                                _ => None,
-                            };
-                            v = cv;
-                        }
-                    }
-                }
-                sum.absorb_re(res);
-                *d = v;
-            }
-        }
-        sum
-    }
-
-    /// [`mma_c32_into`](DotProductUnit::mma_c32_into) with ABFT checksum
-    /// extraction and optional fault injection; the fault's lane selector
-    /// addresses `rows * cols * 2` component slots.
-    #[allow(clippy::too_many_arguments)]
-    pub fn mma_c32_checked_into(
-        &mut self,
-        a: &PackedOperand,
-        b: &PackedOperand,
-        r0: usize,
-        rows: usize,
-        c0: usize,
-        cols: usize,
-        k0: usize,
-        klen: usize,
-        acc: &mut [Complex<f32>],
-        fault: Option<&MmaFault>,
-    ) -> Checksum {
-        use m3xu_fp::residue::{add_m61, residue_f32, sub_m61};
-        assert_eq!(a.mode, MxuMode::M3xuFp32c, "a is not FP32C-packed");
-        assert_eq!(b.mode, MxuMode::M3xuFp32c, "b is not FP32C-packed");
-        assert_eq!(a.len, b.len, "reduction lengths disagree");
-        assert!(acc.len() >= rows * cols, "accumulator scratch too short");
-        let kend = (k0 + klen).min(a.len);
-        let lanes_per_element = (kend.saturating_sub(k0) * 16) as u64;
-        let target = fault.map(|f| (f.lane() % (rows * cols * 2).max(1) as u64) as usize);
-        let corrupt = |slot: usize, v: &mut f32, res: &mut Option<u64>| {
-            if let (Some(f), Some(t)) = (fault, target) {
-                if slot == t {
-                    if let Some(cv) = crate::fault::corrupt_f32(*v, f) {
-                        *res = match (*res, residue_f32(*v), residue_f32(cv)) {
-                            (Some(r), Some(old), Some(new)) => Some(add_m61(sub_m61(r, old), new)),
-                            _ => None,
-                        };
-                        *v = cv;
-                    }
-                }
-            }
-        };
-        let mut sum = Checksum::ZERO;
-        for i in 0..rows {
-            let av = a.vec(r0 + i);
-            for j in 0..cols {
-                let bv = b.vec(c0 + j);
-                let d = &mut acc[i * cols + j];
-                let (mut v, mut rr, mut ri) = match try_fast_c32_checked(*d, av, bv, k0, kend) {
-                    Some((v, rr, ri)) => {
-                        self.lane_ops += lanes_per_element;
-                        (v, Some(rr), Some(ri))
-                    }
-                    None => {
-                        self.clear();
-                        self.seed_real(d.re as f64);
-                        self.seed_imag(d.im as f64);
-                        for k in k0..kend {
-                            let (xrh, xrl, xih, xil) =
-                                (av[4 * k], av[4 * k + 1], av[4 * k + 2], av[4 * k + 3]);
-                            let (yrh, yrl, yih, yil) =
-                                (bv[4 * k], bv[4 * k + 1], bv[4 * k + 2], bv[4 * k + 3]);
-                            self.execute_lane_op(&lane(xrh, yrh, false, Target::Real));
-                            self.execute_lane_op(&lane(xrl, yrl, false, Target::Real));
-                            self.execute_lane_op(&lane(xih, yih, true, Target::Real));
-                            self.execute_lane_op(&lane(xil, yil, true, Target::Real));
-                            self.execute_lane_op(&lane(xrh, yrl, false, Target::Real));
-                            self.execute_lane_op(&lane(xrl, yrh, false, Target::Real));
-                            self.execute_lane_op(&lane(xih, yil, true, Target::Real));
-                            self.execute_lane_op(&lane(xil, yih, true, Target::Real));
-                            self.execute_lane_op(&lane(xrh, yih, false, Target::Imag));
-                            self.execute_lane_op(&lane(xrl, yil, false, Target::Imag));
-                            self.execute_lane_op(&lane(xih, yrh, false, Target::Imag));
-                            self.execute_lane_op(&lane(xil, yrl, false, Target::Imag));
-                            self.execute_lane_op(&lane(xrh, yil, false, Target::Imag));
-                            self.execute_lane_op(&lane(xrl, yih, false, Target::Imag));
-                            self.execute_lane_op(&lane(xih, yrl, false, Target::Imag));
-                            self.execute_lane_op(&lane(xil, yrh, false, Target::Imag));
-                        }
-                        (
-                            Complex::new(self.read_real_f32(), self.read_imag_f32()),
-                            self.real_residue_m61(),
-                            self.imag_residue_m61(),
-                        )
-                    }
-                };
-                let slot = (i * cols + j) * 2;
-                corrupt(slot, &mut v.re, &mut rr);
-                corrupt(slot + 1, &mut v.im, &mut ri);
-                sum.absorb_pair(match (rr, ri) {
-                    (Some(re), Some(im)) => Some((re, im)),
-                    _ => None,
-                });
-                *d = v;
-            }
-        }
-        sum
-    }
-
-    /// [`mma_f64_into`](DotProductUnit::mma_f64_into) with ABFT checksum
-    /// extraction and optional fault injection — the emulated-FP64
-    /// counterpart of [`mma_f32_checked_into`]. Always the Kulisch
-    /// pipeline (the emulated mode has no fast window); the residue is
-    /// drained from the same exact register state as the rounded value,
-    /// and an injected fault corrupts both together.
-    ///
-    /// [`mma_f32_checked_into`]: DotProductUnit::mma_f32_checked_into
-    #[allow(clippy::too_many_arguments)]
-    pub fn mma_f64_checked_into(
-        &mut self,
-        a: &PackedOperand,
-        b: &PackedOperand,
-        r0: usize,
-        rows: usize,
-        c0: usize,
-        cols: usize,
-        k0: usize,
-        klen: usize,
-        acc: &mut [f64],
-        fault: Option<&MmaFault>,
-    ) -> Checksum {
-        use m3xu_fp::residue::{add_m61, residue_f64, sub_m61};
-        assert_eq!(a.mode, MxuMode::M3xuFp64Emu, "a is not FP64-slice-packed");
-        assert_eq!(b.mode, MxuMode::M3xuFp64Emu, "b is not FP64-slice-packed");
-        assert_eq!(a.len, b.len, "reduction lengths disagree");
-        assert!(acc.len() >= rows * cols, "accumulator scratch too short");
-        let kend = (k0 + klen).min(a.len);
-        let epe = a.epe;
-        let target = fault.map(|f| (f.lane() % (rows * cols).max(1) as u64) as usize);
-        let mut sum = Checksum::ZERO;
-        for i in 0..rows {
-            let av = a.vec(r0 + i);
-            for j in 0..cols {
-                let bv = b.vec(c0 + j);
-                let d = &mut acc[i * cols + j];
-                self.clear_real();
-                self.seed_real(*d);
-                for k in k0..kend {
-                    for si in 0..epe {
-                        for sj in 0..epe {
-                            self.execute_lane_op(&lane(
-                                av[epe * k + si],
-                                bv[epe * k + sj],
-                                false,
-                                Target::Real,
-                            ));
-                        }
-                    }
-                }
-                let mut v = self.read_real_f64();
-                let mut res = self.real_residue_m61();
-                if let (Some(f), Some(t)) = (fault, target) {
-                    if i * cols + j == t {
-                        if let Some(cv) = crate::fault::corrupt_f64(v, f) {
-                            res = match (res, residue_f64(v), residue_f64(cv)) {
-                                (Some(r), Some(old), Some(new)) => {
-                                    Some(add_m61(sub_m61(r, old), new))
-                                }
-                                _ => None,
-                            };
-                            v = cv;
-                        }
-                    }
-                }
-                sum.absorb_re(res);
-                *d = v;
-            }
-        }
-        sum
     }
 }
 
@@ -2139,6 +1902,7 @@ impl Mxu {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::abft::Checksum;
     use crate::mma;
     use crate::unit::MxuConfig;
 
@@ -2598,51 +2362,139 @@ mod tests {
         }
     }
 
+    /// One checked chunk `[0, klen)` of an 8x8 tile through the unified
+    /// panel entry, with `fault` (if any) injected after it — what the
+    /// checked BLAS-3 driver does per chunk.
+    fn checked_chunk_f32(
+        pa: &PackedOperand,
+        pb: &PackedOperand,
+        klen: usize,
+        acc: &mut [f32],
+        fault: Option<&crate::fault::MmaFault>,
+    ) -> Checksum {
+        let mut computed = Checksum::ZERO;
+        DotProductUnit::new().mma_f32_panel_sink_into(
+            pa,
+            pb,
+            0,
+            8,
+            0,
+            8,
+            0,
+            klen,
+            klen,
+            acc,
+            &mut computed,
+        );
+        if let Some(f) = fault {
+            crate::fault::inject(f, acc, &mut computed);
+        }
+        computed
+    }
+
+    /// [`checked_chunk_f32`] for emulated FP64.
+    fn checked_chunk_f64(
+        pa: &PackedOperand,
+        pb: &PackedOperand,
+        klen: usize,
+        acc: &mut [f64],
+        fault: Option<&crate::fault::MmaFault>,
+    ) -> Checksum {
+        let mut computed = Checksum::ZERO;
+        DotProductUnit::new().mma_f64_panel_sink_into(
+            pa,
+            pb,
+            0,
+            8,
+            0,
+            8,
+            0,
+            klen,
+            klen,
+            acc,
+            &mut computed,
+        );
+        if let Some(f) = fault {
+            crate::fault::inject(f, acc, &mut computed);
+        }
+        computed
+    }
+
+    /// [`checked_chunk_f32`] for FP32C.
+    fn checked_chunk_c32(
+        pa: &PackedOperand,
+        pb: &PackedOperand,
+        klen: usize,
+        acc: &mut [Complex<f32>],
+        fault: Option<&crate::fault::MmaFault>,
+    ) -> Checksum {
+        let mut computed = Checksum::ZERO;
+        DotProductUnit::new().mma_c32_panel_sink_into(
+            pa,
+            pb,
+            0,
+            8,
+            0,
+            8,
+            0,
+            klen,
+            klen,
+            acc,
+            &mut computed,
+        );
+        if let Some(f) = fault {
+            crate::fault::inject(f, acc, &mut computed);
+        }
+        computed
+    }
+
     #[test]
     fn checked_mma_f32_is_bit_identical_and_checksum_verifies() {
         use crate::abft::expected_chunk_packed_f32;
         // Every real f32 mode — including the truncated fast schedule and
         // the narrow formats — plus a wide-exponent-spread case that
-        // forces the Kulisch fallback; all must verify.
-        for mode in [
-            MxuMode::M3xuFp32,
-            MxuMode::M3xuFp32Fast,
-            MxuMode::Tf32,
-            MxuMode::Fp16,
-            MxuMode::Bf16,
-        ] {
-            for (sa, scale) in [(21u64, 1.0f32), (22, 1.0e30)] {
-                let mut a = Matrix::<f32>::random(8, 2, sa);
-                if scale != 1.0 {
-                    a.set(0, 0, a.get(0, 0) * scale);
-                    a.set(0, 1, a.get(0, 1) / scale);
+        // forces the Kulisch fallback; all must verify, at every level
+        // (the 8-column tile takes the SIMD row kernels above Scalar).
+        simd::at_every_level(|lvl| {
+            for mode in [
+                MxuMode::M3xuFp32,
+                MxuMode::M3xuFp32Fast,
+                MxuMode::Tf32,
+                MxuMode::Fp16,
+                MxuMode::Bf16,
+            ] {
+                for (sa, scale) in [(21u64, 1.0f32), (22, 1.0e30)] {
+                    let mut a = Matrix::<f32>::random(8, 2, sa);
+                    if scale != 1.0 {
+                        a.set(0, 0, a.get(0, 0) * scale);
+                        a.set(0, 1, a.get(0, 1) / scale);
+                    }
+                    let b = Matrix::<f32>::random(2, 8, sa + 1);
+                    let c = Matrix::<f32>::random(8, 8, sa + 2);
+                    let pa = PackedOperand::pack_rows_f32(&a, mode);
+                    let pb = PackedOperand::pack_cols_f32(&b, mode);
+                    let mut dpu = DotProductUnit::new();
+                    let mut plain: Vec<f32> = c.as_slice().to_vec();
+                    dpu.mma_f32_into(&pa, &pb, 0, 8, 0, 8, 0, 2, &mut plain);
+                    let mut checked: Vec<f32> = c.as_slice().to_vec();
+                    let expected = expected_chunk_packed_f32(&pa, &pb, &checked, 0, 8, 0, 8, 0, 2);
+                    let computed = checked_chunk_f32(&pa, &pb, 2, &mut checked, None);
+                    for (x, y) in checked.iter().zip(&plain) {
+                        assert_eq!(x.to_bits(), y.to_bits(), "{mode:?} at {lvl:?}");
+                    }
+                    // The scaled case overflows the narrow formats to Inf at
+                    // quantisation — those chunks are correctly unverifiable;
+                    // a special-free band must always verify.
+                    if scale == 1.0 {
+                        assert!(expected.ok, "{mode:?}: finite inputs must be verifiable");
+                    }
+                    assert!(
+                        expected.matches(&computed),
+                        "{mode:?} at {lvl:?}: honest run must verify"
+                    );
                 }
-                let b = Matrix::<f32>::random(2, 8, sa + 1);
-                let c = Matrix::<f32>::random(8, 8, sa + 2);
-                let pa = PackedOperand::pack_rows_f32(&a, mode);
-                let pb = PackedOperand::pack_cols_f32(&b, mode);
-                let mut dpu = DotProductUnit::new();
-                let mut plain: Vec<f32> = c.as_slice().to_vec();
-                dpu.mma_f32_into(&pa, &pb, 0, 8, 0, 8, 0, 2, &mut plain);
-                let mut checked: Vec<f32> = c.as_slice().to_vec();
-                let expected = expected_chunk_packed_f32(&pa, &pb, &checked, 0, 8, 0, 8, 0, 2);
-                let computed =
-                    dpu.mma_f32_checked_into(&pa, &pb, 0, 8, 0, 8, 0, 2, &mut checked, None);
-                for (x, y) in checked.iter().zip(&plain) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "{mode:?}");
-                }
-                // The scaled case overflows the narrow formats to Inf at
-                // quantisation — those chunks are correctly unverifiable;
-                // a special-free band must always verify.
-                if scale == 1.0 {
-                    assert!(expected.ok, "{mode:?}: finite inputs must be verifiable");
-                }
-                assert!(
-                    expected.matches(&computed),
-                    "{mode:?}: honest run must verify"
-                );
             }
-        }
+        });
     }
 
     #[test]
@@ -2653,17 +2505,19 @@ mod tests {
         let c = Matrix::from_fn(8, 8, |i, j| ((i * 8 + j) as f64 - 31.5) / 11.0);
         let pa = PackedOperand::try_pack_rows_f64(&a, MxuMode::M3xuFp64Emu).unwrap();
         let pb = PackedOperand::try_pack_cols_f64(&b, MxuMode::M3xuFp64Emu).unwrap();
-        let mut dpu = DotProductUnit::new();
-        let mut plain: Vec<f64> = c.as_slice().to_vec();
-        dpu.mma_f64_into(&pa, &pb, 0, 8, 0, 8, 0, 2, &mut plain);
-        let mut checked: Vec<f64> = c.as_slice().to_vec();
-        let expected = expected_chunk_packed_f64(&pa, &pb, &checked, 0, 8, 0, 8, 0, 2);
-        let computed = dpu.mma_f64_checked_into(&pa, &pb, 0, 8, 0, 8, 0, 2, &mut checked, None);
-        for (x, y) in checked.iter().zip(&plain) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        assert!(expected.ok, "finite inputs must be verifiable");
-        assert!(expected.matches(&computed), "honest run must verify");
+        simd::at_every_level(|lvl| {
+            let mut dpu = DotProductUnit::new();
+            let mut plain: Vec<f64> = c.as_slice().to_vec();
+            dpu.mma_f64_into(&pa, &pb, 0, 8, 0, 8, 0, 2, &mut plain);
+            let mut checked: Vec<f64> = c.as_slice().to_vec();
+            let expected = expected_chunk_packed_f64(&pa, &pb, &checked, 0, 8, 0, 8, 0, 2);
+            let computed = checked_chunk_f64(&pa, &pb, 2, &mut checked, None);
+            for (x, y) in checked.iter().zip(&plain) {
+                assert_eq!(x.to_bits(), y.to_bits(), "at {lvl:?}");
+            }
+            assert!(expected.ok, "finite inputs must be verifiable");
+            assert!(expected.matches(&computed), "honest run must verify");
+        });
     }
 
     #[test]
@@ -2674,17 +2528,19 @@ mod tests {
         let c = Matrix::random_c32(8, 8, 63);
         let pa = PackedOperand::pack_rows_c32(&a);
         let pb = PackedOperand::pack_cols_c32(&b);
-        let mut dpu = DotProductUnit::new();
-        let mut plain: Vec<Complex<f32>> = c.as_slice().to_vec();
-        dpu.mma_c32_into(&pa, &pb, 0, 8, 0, 8, 0, 1, &mut plain);
-        let mut checked: Vec<Complex<f32>> = c.as_slice().to_vec();
-        let expected = expected_chunk_packed_c32(&pa, &pb, &checked, 0, 8, 0, 8, 0, 1);
-        let computed = dpu.mma_c32_checked_into(&pa, &pb, 0, 8, 0, 8, 0, 1, &mut checked, None);
-        for (x, y) in checked.iter().zip(&plain) {
-            assert_eq!(x.re.to_bits(), y.re.to_bits());
-            assert_eq!(x.im.to_bits(), y.im.to_bits());
-        }
-        assert!(expected.ok && expected.matches(&computed));
+        simd::at_every_level(|lvl| {
+            let mut dpu = DotProductUnit::new();
+            let mut plain: Vec<Complex<f32>> = c.as_slice().to_vec();
+            dpu.mma_c32_into(&pa, &pb, 0, 8, 0, 8, 0, 1, &mut plain);
+            let mut checked: Vec<Complex<f32>> = c.as_slice().to_vec();
+            let expected = expected_chunk_packed_c32(&pa, &pb, &checked, 0, 8, 0, 8, 0, 1);
+            let computed = checked_chunk_c32(&pa, &pb, 1, &mut checked, None);
+            for (x, y) in checked.iter().zip(&plain) {
+                assert_eq!(x.re.to_bits(), y.re.to_bits(), "at {lvl:?}");
+                assert_eq!(x.im.to_bits(), y.im.to_bits(), "at {lvl:?}");
+            }
+            assert!(expected.ok && expected.matches(&computed), "at {lvl:?}");
+        });
     }
 
     #[test]
@@ -2706,64 +2562,62 @@ mod tests {
                 mask: 0x7f80_0000, // would create a special: retargeted
             },
         ];
+        simd::at_every_level(|lvl| {
+            // Every real f32 mode, including the truncated fast schedule.
+            for mode in [
+                MxuMode::M3xuFp32,
+                MxuMode::M3xuFp32Fast,
+                MxuMode::Tf32,
+                MxuMode::Fp16,
+                MxuMode::Bf16,
+            ] {
+                let a = Matrix::<f32>::random(8, 2, 71);
+                let b = Matrix::<f32>::random(2, 8, 72);
+                let c = Matrix::<f32>::random(8, 8, 73);
+                let pa = PackedOperand::pack_rows_f32(&a, mode);
+                let pb = PackedOperand::pack_cols_f32(&b, mode);
+                for f in &faults {
+                    let mut acc: Vec<f32> = c.as_slice().to_vec();
+                    let expected = expected_chunk_packed_f32(&pa, &pb, &acc, 0, 8, 0, 8, 0, 2);
+                    let computed = checked_chunk_f32(&pa, &pb, 2, &mut acc, Some(f));
+                    assert!(
+                        !expected.matches(&computed),
+                        "{mode:?} at {lvl:?}: fault {f:?} must be detected"
+                    );
+                }
+            }
 
-        // Every real f32 mode, including the truncated fast schedule.
-        for mode in [
-            MxuMode::M3xuFp32,
-            MxuMode::M3xuFp32Fast,
-            MxuMode::Tf32,
-            MxuMode::Fp16,
-            MxuMode::Bf16,
-        ] {
-            let a = Matrix::<f32>::random(8, 2, 71);
-            let b = Matrix::<f32>::random(2, 8, 72);
-            let c = Matrix::<f32>::random(8, 8, 73);
-            let pa = PackedOperand::pack_rows_f32(&a, mode);
-            let pb = PackedOperand::pack_cols_f32(&b, mode);
-            let mut dpu = DotProductUnit::new();
+            // Emulated FP64.
+            let a = Matrix::from_fn(8, 2, |i, j| ((i * 2 + j) as f64 - 7.5) / 3.0);
+            let b = Matrix::from_fn(2, 8, |i, j| ((i * 8 + j) as f64 - 6.5) / 7.0);
+            let c = Matrix::from_fn(8, 8, |i, j| ((i * 8 + j) as f64 - 31.5) / 11.0);
+            let pa = PackedOperand::try_pack_rows_f64(&a, MxuMode::M3xuFp64Emu).unwrap();
+            let pb = PackedOperand::try_pack_cols_f64(&b, MxuMode::M3xuFp64Emu).unwrap();
             for f in &faults {
-                let mut acc: Vec<f32> = c.as_slice().to_vec();
-                let expected = expected_chunk_packed_f32(&pa, &pb, &acc, 0, 8, 0, 8, 0, 2);
-                let computed =
-                    dpu.mma_f32_checked_into(&pa, &pb, 0, 8, 0, 8, 0, 2, &mut acc, Some(f));
+                let mut acc: Vec<f64> = c.as_slice().to_vec();
+                let expected = expected_chunk_packed_f64(&pa, &pb, &acc, 0, 8, 0, 8, 0, 2);
+                let computed = checked_chunk_f64(&pa, &pb, 2, &mut acc, Some(f));
                 assert!(
                     !expected.matches(&computed),
-                    "{mode:?}: fault {f:?} must be detected"
+                    "f64 fault {f:?} at {lvl:?} must be detected"
                 );
             }
-        }
 
-        // Emulated FP64.
-        let a = Matrix::from_fn(8, 2, |i, j| ((i * 2 + j) as f64 - 7.5) / 3.0);
-        let b = Matrix::from_fn(2, 8, |i, j| ((i * 8 + j) as f64 - 6.5) / 7.0);
-        let c = Matrix::from_fn(8, 8, |i, j| ((i * 8 + j) as f64 - 31.5) / 11.0);
-        let pa = PackedOperand::try_pack_rows_f64(&a, MxuMode::M3xuFp64Emu).unwrap();
-        let pb = PackedOperand::try_pack_cols_f64(&b, MxuMode::M3xuFp64Emu).unwrap();
-        let mut dpu = DotProductUnit::new();
-        for f in &faults {
-            let mut acc: Vec<f64> = c.as_slice().to_vec();
-            let expected = expected_chunk_packed_f64(&pa, &pb, &acc, 0, 8, 0, 8, 0, 2);
-            let computed = dpu.mma_f64_checked_into(&pa, &pb, 0, 8, 0, 8, 0, 2, &mut acc, Some(f));
-            assert!(
-                !expected.matches(&computed),
-                "f64 fault {f:?} must be detected"
-            );
-        }
-
-        // FP32C.
-        let a = Matrix::random_c32(8, 1, 81);
-        let b = Matrix::random_c32(1, 8, 82);
-        let c = Matrix::random_c32(8, 8, 83);
-        let pa = PackedOperand::pack_rows_c32(&a);
-        let pb = PackedOperand::pack_cols_c32(&b);
-        for f in &faults {
-            let mut acc: Vec<Complex<f32>> = c.as_slice().to_vec();
-            let expected = expected_chunk_packed_c32(&pa, &pb, &acc, 0, 8, 0, 8, 0, 1);
-            let computed = dpu.mma_c32_checked_into(&pa, &pb, 0, 8, 0, 8, 0, 1, &mut acc, Some(f));
-            assert!(
-                !expected.matches(&computed),
-                "complex fault {f:?} must be detected"
-            );
-        }
+            // FP32C.
+            let a = Matrix::random_c32(8, 1, 81);
+            let b = Matrix::random_c32(1, 8, 82);
+            let c = Matrix::random_c32(8, 8, 83);
+            let pa = PackedOperand::pack_rows_c32(&a);
+            let pb = PackedOperand::pack_cols_c32(&b);
+            for f in &faults {
+                let mut acc: Vec<Complex<f32>> = c.as_slice().to_vec();
+                let expected = expected_chunk_packed_c32(&pa, &pb, &acc, 0, 8, 0, 8, 0, 1);
+                let computed = checked_chunk_c32(&pa, &pb, 1, &mut acc, Some(f));
+                assert!(
+                    !expected.matches(&computed),
+                    "complex fault {f:?} at {lvl:?} must be detected"
+                );
+            }
+        });
     }
 }

@@ -129,6 +129,27 @@ pub fn set_level(l: SimdLevel) {
     LEVEL.store(clamp(l, detected()) as u8, Ordering::Relaxed);
 }
 
+/// Serialises the unit tests that override the process-wide level.
+#[cfg(test)]
+static LEVEL_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// Run `f` at every dispatch level the host supports (always including
+/// `Scalar`), holding [`LEVEL_LOCK`], then restore the entry level.
+#[cfg(test)]
+pub(crate) fn at_every_level(mut f: impl FnMut(SimdLevel)) {
+    let _guard = LEVEL_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let entry = level();
+    for lvl in [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2] {
+        if clamp(lvl, detected()) == lvl {
+            set_level(lvl);
+            f(lvl);
+        }
+    }
+    set_level(entry);
+}
+
 /// Output columns each row kernel covers — one fragment row.
 pub(crate) const COLS: usize = 8;
 
@@ -151,9 +172,12 @@ const SIMD_POW_RANGE: i32 = 70;
 /// Bit-identical to the scalar fast path / Kulisch drain because the
 /// decoded contribution list denotes exactly the same real number (the
 /// half-products of one element pair sum exactly to its full product)
-/// and the final rounding is the shared [`super::fast_round_f32`].
-#[inline(always)]
-pub(crate) fn exact_chunk_round<const T: usize>(seed: f32, terms: &[f64; T]) -> Option<f32> {
+/// and the final rounding is the shared [`super::fast_round_f32`]. The
+/// panel kernels run the two halves separately — the exact window also
+/// feeds the ABFT residue — so this composition is what the tests pin
+/// against the Kulisch register.
+#[cfg(test)]
+fn exact_chunk_round<const T: usize>(seed: f32, terms: &[f64; T]) -> Option<f32> {
     let (sum, pmin, ok) = exact_chunk_accumulate(seed, terms);
     ok.then(|| super::fast_round_f32(sum, pmin))
 }
@@ -250,7 +274,7 @@ impl RowSeeds {
     }
 }
 
-/// The reduction half of [`exact_chunk_round`]: decode `seed + Σ terms`
+/// The reduction half of `exact_chunk_round`: decode `seed + Σ terms`
 /// into an exact `i128` window anchored at `pmin`, without rounding.
 /// Returns `(sum, pmin, ok)`; when `ok` is false (non-finite input or
 /// exponent spread beyond the window) `sum`/`pmin` are meaningless and
@@ -675,6 +699,9 @@ mod tests {
 
     #[test]
     fn level_parsing_clamps_to_capability() {
+        let _guard = LEVEL_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         // Whatever the host supports, Scalar is always honoured and the
         // clamp never exceeds the detected capability.
         assert_eq!(clamp(SimdLevel::Scalar, detected()), SimdLevel::Scalar);

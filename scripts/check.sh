@@ -18,13 +18,25 @@ echo "== cargo doc -D warnings"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # Every package's suites, not just the root package's: the crate-level
-# unit and integration tests (m3xu-mxu's checked-MMA and SIMD-panel
-# parity, m3xu-kernels' robustness, m3xu-serve's service tests) gate too.
+# unit and integration tests (m3xu-mxu's checked-panel residue and fault
+# detection at every SIMD level, SIMD-panel parity, m3xu-kernels'
+# robustness, m3xu-serve's service tests) gate too.
 echo "== cargo test --workspace -q"
 cargo test --workspace -q
 
 echo "== cargo test --workspace --release -q"
 cargo test --workspace --release -q
+
+# Sanitizer gate: the `unsafe` SIMD panel kernels, `SendPtr` tile stores
+# and worker pool under AddressSanitizer. Nightly-only; doctests are left
+# out because they fail to link under ASan.
+echo "== AddressSanitizer: m3xu-mxu + m3xu-kernels lib and integration tests (nightly)"
+if cargo +nightly --version >/dev/null 2>&1; then
+    RUSTFLAGS=-Zsanitizer=address cargo +nightly test --target x86_64-unknown-linux-gnu \
+        -p m3xu-mxu -p m3xu-kernels --lib --tests
+else
+    echo "SKIPPED: AddressSanitizer step (cargo +nightly unavailable)"
+fi
 
 echo "== cross-validation: functional ExecStats vs analytical model (release)"
 cargo test --release -q --test cross_validation
