@@ -44,7 +44,7 @@
 
 use m3xu_bench::{dump_json, timing::fmt_duration};
 use m3xu_json::impl_to_json;
-use m3xu_kernels::M3xuContext;
+use m3xu_kernels::{Blas3Call, M3xuContext};
 use m3xu_mxu::matrix::Matrix;
 use m3xu_serve::openloop::{self, Arrival, OpKind, OpenLoopSpec};
 use m3xu_serve::{
@@ -117,12 +117,10 @@ fn run_closed_loop(
         }
         let t0 = Instant::now();
         let ticket = serve
-            .submit_gemm_f32(
+            .submit(
                 "bench",
-                GemmPrecision::M3xuFp32,
-                w.a.clone(),
-                w.b.clone(),
-                w.c.clone(),
+                Blas3Call::gemm(w.a.clone(), w.b.clone(), w.c.clone())
+                    .with_precision(GemmPrecision::M3xuFp32),
                 SubmitOpts::default(),
             )
             .expect("submit");
@@ -459,14 +457,12 @@ fn min_wall(reps: usize, mut f: impl FnMut()) -> f64 {
 }
 
 /// Measure every checked driver against its unchecked twin at zero fault
-/// rate. Both contexts share a thread count so the ratio isolates the
-/// checksum work; the `*_faulted` entry points are used on both sides
-/// (on the unarmed context they are pure delegation to production).
+/// rate. Both contexts share a thread count and run the same
+/// [`Blas3Call`]s, so the ratio isolates the checksum work.
 fn abft_overhead(n: usize, reps: usize, workers: usize) -> Vec<OverheadRow> {
     let unchecked = M3xuContext::with_threads(workers);
     let checked =
         M3xuContext::with_threads(workers).with_fault_plan(Arc::new(FaultPlan::new(1, 0.0)));
-    let p = GemmPrecision::M3xuFp32;
     let mut rows = Vec::new();
     let mut cell = |op: &'static str, run: &dyn Fn(&M3xuContext)| {
         let unchecked_wall_s = min_wall(reps, || run(&unchecked));
@@ -484,52 +480,45 @@ fn abft_overhead(n: usize, reps: usize, workers: usize) -> Vec<OverheadRow> {
     let a = Matrix::<f32>::random(n, n, 1);
     let b = Matrix::<f32>::random(n, n, 2);
     let c = Matrix::<f32>::random(n, n, 3);
-    cell("gemm", &|ctx| {
-        ctx.try_gemm_f32_faulted(p, &a, &b, &c).unwrap();
-    });
-    cell("gemm_op", &|ctx| {
-        ctx.try_gemm_op_f32_faulted(p, MatOp::T, &a, MatOp::N, &b, 0.75, -1.25, &c)
-            .unwrap();
-    });
-    cell("syrk", &|ctx| {
-        ctx.try_syrk_f32_faulted(p, Triangle::Lower, MatOp::N, &a, 0.5, 2.0, &c)
-            .unwrap();
-    });
-    cell("symm", &|ctx| {
-        ctx.try_symm_f32_faulted(p, Side::Left, Triangle::Upper, &a, &b, -0.5, 1.25, &c)
-            .unwrap();
-    });
+    let (lower, upper) = (Triangle::Lower, Triangle::Upper);
+    for (op, call) in [
+        ("gemm", Blas3Call::gemm(&a, &b, &c)),
+        (
+            "gemm_op",
+            Blas3Call::gemm_op(MatOp::T, &a, MatOp::N, &b, 0.75, -1.25, &c),
+        ),
+        ("syrk", Blas3Call::syrk(lower, MatOp::N, &a, 0.5, 2.0, &c)),
+        (
+            "symm",
+            Blas3Call::symm(Side::Left, upper, &a, &b, -0.5, 1.25, &c),
+        ),
+    ] {
+        cell(op, &|ctx| drop(ctx.run(&call).unwrap()));
+    }
 
     let fa = Matrix::<f64>::random_f64(n, n, 4);
     let fb = Matrix::<f64>::random_f64(n, n, 5);
     let fc = Matrix::<f64>::random_f64(n, n, 6);
-    cell("gemm_f64", &|ctx| {
-        ctx.try_gemm_f64_faulted(GemmPrecision::Fp64Emulated, &fa, &fb, &fc)
-            .unwrap();
-    });
+    let call = Blas3Call::gemm(&fa, &fb, &fc);
+    cell("gemm_f64", &|ctx| drop(ctx.run(&call).unwrap()));
 
     let ca = Matrix::random_c32(n, n, 7);
     let cb = Matrix::random_c32(n, n, 8);
     let cc = Matrix::random_c32(n, n, 9);
-    cell("cgemm", &|ctx| {
-        ctx.try_cgemm_c32_faulted(&ca, &cb, &cc).unwrap();
-    });
-    cell("herk", &|ctx| {
-        ctx.try_herk_c32_faulted(Triangle::Upper, MatOp::N, &ca, 0.75, -0.5, &cc)
-            .unwrap();
-    });
-    cell("hemm", &|ctx| {
-        ctx.try_hemm_c32_faulted(
-            Side::Right,
-            Triangle::Lower,
-            &ca,
-            &cb,
-            C32::new(0.5, -0.25),
-            C32::new(1.0, 0.5),
-            &cc,
-        )
-        .unwrap();
-    });
+    let (alpha, beta) = (C32::new(0.5, -0.25), C32::new(1.0, 0.5));
+    for (op, call) in [
+        ("cgemm", Blas3Call::gemm(&ca, &cb, &cc)),
+        (
+            "herk",
+            Blas3Call::herk(upper, MatOp::N, &ca, 0.75, -0.5, &cc),
+        ),
+        (
+            "hemm",
+            Blas3Call::hemm(Side::Right, lower, &ca, &cb, alpha, beta, &cc),
+        ),
+    ] {
+        cell(op, &|ctx| drop(ctx.run(&call).unwrap()));
+    }
     rows
 }
 
@@ -546,12 +535,10 @@ fn fault_cell(w: &Workload, seed: u64, rate: f64, workers: usize, requests: usiz
     let tickets: Vec<_> = (0..requests)
         .map(|_| {
             serve
-                .submit_gemm_f32(
+                .submit(
                     "fault-bench",
-                    GemmPrecision::M3xuFp32,
-                    w.a.clone(),
-                    w.b.clone(),
-                    w.c.clone(),
+                    Blas3Call::gemm(w.a.clone(), w.b.clone(), w.c.clone())
+                        .with_precision(GemmPrecision::M3xuFp32),
                     SubmitOpts::default(),
                 )
                 .expect("submit")
@@ -756,7 +743,7 @@ impl OpRefs {
                         let a = Matrix::random_c32(n, n, 0xC0 + n as u64);
                         let b = Matrix::random_c32(n, n, 0xD0 + n as u64);
                         let c = Matrix::random_c32(n, n, 0xE0 + n as u64);
-                        let d = ctx.cgemm_c32(&a, &b, &c).d;
+                        let d = ctx.try_cgemm_c32(&a, &b, &c).unwrap().d;
                         let bits = c32_bits(d.as_slice());
                         (a, b, c, bits)
                     });

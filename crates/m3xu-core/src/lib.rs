@@ -2,7 +2,7 @@
 //!
 //! A downstream user's entry point: construct an [`M3xu`] device and call
 //! [`gemm`](M3xu::gemm) / [`cgemm`](M3xu::cgemm) / [`fft`](M3xu::fft) on
-//! plain FP32 / FP32C data. No data-format changes, no precision loss —
+//! plain FP32 / FP32C data, or [`run`](M3xu::run) any [`Blas3Call`]. No data-format changes, no precision loss —
 //! the paper's deployment story ("M3XU does not require any modification
 //! to existing programs").
 //!
@@ -20,7 +20,7 @@
 
 pub use m3xu_fp::complex::{Complex, C32, C64};
 pub use m3xu_gpu::config::GpuConfig;
-pub use m3xu_kernels::blas3::Side;
+pub use m3xu_kernels::blas3::{Blas3Call, Blas3Elem, Operand, Side};
 pub use m3xu_kernels::context::{default_context, ExecStats, GemmExecutor, M3xuContext};
 pub use m3xu_kernels::gemm::GemmPrecision;
 pub use m3xu_mxu::error::M3xuError;
@@ -28,7 +28,7 @@ pub use m3xu_mxu::matrix::{MatOp, Matrix, MirrorView, OpView, Triangle};
 pub use m3xu_mxu::mma::MmaStats;
 pub use m3xu_mxu::modes::{MxuMode, PipelineVariant};
 
-use m3xu_kernels::{blas3, fft, gemm, knn};
+use m3xu_kernels::{fft, gemm, knn};
 
 /// An M3XU device handle: the pipeline variant to model and the GPU the
 /// performance estimates assume.
@@ -183,194 +183,21 @@ impl M3xu {
         }
     }
 
-    /// True-FP32 op-GEMM `D = alpha·op(A)·op(B) + beta·C`, where
-    /// [`MatOp`] selects `X`, `X^T`, or `X^H` per operand without
-    /// materializing a transposed copy. Panics on a shape mismatch; see
-    /// [`M3xu::try_gemm_op`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn gemm_op(
-        &self,
-        op_a: MatOp,
-        a: &Matrix<f32>,
-        op_b: MatOp,
-        b: &Matrix<f32>,
-        alpha: f32,
-        beta: f32,
-        c: &Matrix<f32>,
-    ) -> Matrix<f32> {
-        blas3::gemm_op_f32(GemmPrecision::M3xuFp32, op_a, a, op_b, b, alpha, beta, c).d
-    }
-
-    /// Fallible [`M3xu::gemm_op`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_gemm_op(
-        &self,
-        op_a: MatOp,
-        a: &Matrix<f32>,
-        op_b: MatOp,
-        b: &Matrix<f32>,
-        alpha: f32,
-        beta: f32,
-        c: &Matrix<f32>,
-    ) -> Result<Matrix<f32>, M3xuError> {
-        Ok(blas3::try_gemm_op_f32(GemmPrecision::M3xuFp32, op_a, a, op_b, b, alpha, beta, c)?.d)
-    }
-
-    /// FP32C complex op-GEMM `D = alpha·op(A)·op(B) + beta·C`, where
-    /// `op` may transpose and/or conjugate. Panics on a shape mismatch;
-    /// see [`M3xu::try_cgemm_op`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn cgemm_op(
-        &self,
-        op_a: MatOp,
-        a: &Matrix<C32>,
-        op_b: MatOp,
-        b: &Matrix<C32>,
-        alpha: C32,
-        beta: C32,
-        c: &Matrix<C32>,
-    ) -> Matrix<C32> {
-        blas3::cgemm_op_c32(op_a, a, op_b, b, alpha, beta, c).d
-    }
-
-    /// Fallible [`M3xu::cgemm_op`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_cgemm_op(
-        &self,
-        op_a: MatOp,
-        a: &Matrix<C32>,
-        op_b: MatOp,
-        b: &Matrix<C32>,
-        alpha: C32,
-        beta: C32,
-        c: &Matrix<C32>,
-    ) -> Result<Matrix<C32>, M3xuError> {
-        Ok(blas3::try_cgemm_op_c32(op_a, a, op_b, b, alpha, beta, c)?.d)
-    }
-
-    /// Symmetric rank-k update `C := alpha·op(A)·op(A)^T + beta·C` at
-    /// full FP32 fidelity, writing only the `tri` triangle of `C` (the
-    /// other triangle is returned byte-for-byte untouched, and the
-    /// kernel schedules roughly half the tiles of the equivalent GEMM).
-    /// Panics on a shape mismatch; see [`M3xu::try_syrk`].
-    pub fn syrk(
-        &self,
-        tri: Triangle,
-        op_a: MatOp,
-        a: &Matrix<f32>,
-        alpha: f32,
-        beta: f32,
-        c: &Matrix<f32>,
-    ) -> Matrix<f32> {
-        blas3::syrk_f32(GemmPrecision::M3xuFp32, tri, op_a, a, alpha, beta, c).d
-    }
-
-    /// Fallible [`M3xu::syrk`].
-    pub fn try_syrk(
-        &self,
-        tri: Triangle,
-        op_a: MatOp,
-        a: &Matrix<f32>,
-        alpha: f32,
-        beta: f32,
-        c: &Matrix<f32>,
-    ) -> Result<Matrix<f32>, M3xuError> {
-        Ok(blas3::try_syrk_f32(GemmPrecision::M3xuFp32, tri, op_a, a, alpha, beta, c)?.d)
-    }
-
-    /// Hermitian rank-k update `C := alpha·op(A)·op(A)^H + beta·C` on
-    /// FP32C (real `alpha`/`beta`, `op_a` either `N` or `H`), writing
-    /// only `tri` with an exactly real diagonal. Panics on a shape or
-    /// mode mismatch; see [`M3xu::try_herk`].
-    pub fn herk(
-        &self,
-        tri: Triangle,
-        op_a: MatOp,
-        a: &Matrix<C32>,
-        alpha: f32,
-        beta: f32,
-        c: &Matrix<C32>,
-    ) -> Matrix<C32> {
-        blas3::herk_c32(tri, op_a, a, alpha, beta, c).d
-    }
-
-    /// Fallible [`M3xu::herk`].
-    pub fn try_herk(
-        &self,
-        tri: Triangle,
-        op_a: MatOp,
-        a: &Matrix<C32>,
-        alpha: f32,
-        beta: f32,
-        c: &Matrix<C32>,
-    ) -> Result<Matrix<C32>, M3xuError> {
-        Ok(blas3::try_herk_c32(tri, op_a, a, alpha, beta, c)?.d)
-    }
-
-    /// Symmetric multiply `C := alpha·sym(A)·B + beta·C` (or
-    /// `B·sym(A)` for [`Side::Right`]), reading `sym(A)` from the `tri`
-    /// triangle of the square `A`. Panics on a shape mismatch; see
-    /// [`M3xu::try_symm`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn symm(
-        &self,
-        side: Side,
-        tri: Triangle,
-        a: &Matrix<f32>,
-        b: &Matrix<f32>,
-        alpha: f32,
-        beta: f32,
-        c: &Matrix<f32>,
-    ) -> Matrix<f32> {
-        blas3::symm_f32(GemmPrecision::M3xuFp32, side, tri, a, b, alpha, beta, c).d
-    }
-
-    /// Fallible [`M3xu::symm`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_symm(
-        &self,
-        side: Side,
-        tri: Triangle,
-        a: &Matrix<f32>,
-        b: &Matrix<f32>,
-        alpha: f32,
-        beta: f32,
-        c: &Matrix<f32>,
-    ) -> Result<Matrix<f32>, M3xuError> {
-        Ok(blas3::try_symm_f32(GemmPrecision::M3xuFp32, side, tri, a, b, alpha, beta, c)?.d)
-    }
-
-    /// Hermitian multiply `C := alpha·herm(A)·B + beta·C` (or
-    /// `B·herm(A)` for [`Side::Right`]) on FP32C, reconstructing
-    /// `herm(A)` from the `tri` triangle of the square `A`. Panics on a
-    /// shape mismatch; see [`M3xu::try_hemm`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn hemm(
-        &self,
-        side: Side,
-        tri: Triangle,
-        a: &Matrix<C32>,
-        b: &Matrix<C32>,
-        alpha: C32,
-        beta: C32,
-        c: &Matrix<C32>,
-    ) -> Matrix<C32> {
-        blas3::hemm_c32(side, tri, a, b, alpha, beta, c).d
-    }
-
-    /// Fallible [`M3xu::hemm`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_hemm(
-        &self,
-        side: Side,
-        tri: Triangle,
-        a: &Matrix<C32>,
-        b: &Matrix<C32>,
-        alpha: C32,
-        beta: C32,
-        c: &Matrix<C32>,
-    ) -> Result<Matrix<C32>, M3xuError> {
-        Ok(blas3::try_hemm_c32(side, tri, a, b, alpha, beta, c)?.d)
+    /// One BLAS-3 call — op-GEMM, SYMM/HEMM, SYRK/HERK in any precision
+    /// its element type takes — on the default context, returning `D`.
+    ///
+    /// ```
+    /// use m3xu_core::{Blas3Call, M3xu, MatOp, Matrix, Triangle};
+    ///
+    /// let dev = M3xu::new();
+    /// let a = Matrix::<f32>::random(12, 7, 1);
+    /// let c = Matrix::<f32>::zeros(12, 12);
+    /// let call = Blas3Call::syrk(Triangle::Lower, MatOp::N, &a, 1.0, 0.0, &c);
+    /// let d = dev.run(&call).unwrap();
+    /// assert_eq!(d.get(0, 11), 0.0);
+    /// ```
+    pub fn run<M: Operand>(&self, call: &Blas3Call<M>) -> Result<Matrix<M::Elem>, M3xuError> {
+        Ok(default_context().run(call)?.0.d)
     }
 
     /// Forward FFT of a power-of-two-length complex signal, computed with
@@ -556,12 +383,22 @@ mod tests {
         let c = Matrix::<f32>::random(7, 9, 22);
         // op-GEMM with transposes matches the plain GEMM on
         // materialized operands at unit scalars.
-        let d = dev.gemm_op(MatOp::T, &a, MatOp::N, &b, 1.0, 1.0, &c);
+        let call = Blas3Call::gemm_op(MatOp::T, &a, MatOp::N, &b, 1.0, 1.0, &c);
+        let d = dev.run(&call).unwrap();
         let at = Matrix::from_fn(7, 12, |i, j| a.get(j, i));
         assert_eq!(d, dev.gemm_bias(&at, &b, &c));
         // SYRK writes one triangle; the other is untouched.
         let c2 = Matrix::<f32>::random(12, 12, 23);
-        let s = dev.syrk(Triangle::Lower, MatOp::N, &a, 1.0, 1.0, &c2);
+        let s = dev
+            .run(&Blas3Call::syrk(
+                Triangle::Lower,
+                MatOp::N,
+                &a,
+                1.0,
+                1.0,
+                &c2,
+            ))
+            .unwrap();
         for i in 0..12 {
             for j in (i + 1)..12 {
                 assert_eq!(s.get(i, j).to_bits(), c2.get(i, j).to_bits());
@@ -570,13 +407,23 @@ mod tests {
         // HERK's diagonal is exactly real.
         let za = Matrix::random_c32(6, 4, 24);
         let zc = Matrix::random_c32(6, 6, 25);
-        let h = dev.herk(Triangle::Upper, MatOp::N, &za, 1.0, 0.0, &zc);
+        let h = dev
+            .run(&Blas3Call::herk(
+                Triangle::Upper,
+                MatOp::N,
+                &za,
+                1.0,
+                0.0,
+                &zc,
+            ))
+            .unwrap();
         for i in 0..6 {
             assert_eq!(h.get(i, i).im, 0.0);
         }
         // Typed errors, not panics, on the fallible surface.
+        let bad = Blas3Call::syrk(Triangle::Lower, MatOp::N, &a, 1.0, 1.0, &c);
         assert!(matches!(
-            dev.try_syrk(Triangle::Lower, MatOp::N, &a, 1.0, 1.0, &c),
+            dev.run(&bad),
             Err(M3xuError::ShapeMismatch { .. })
         ));
     }

@@ -1,11 +1,15 @@
 //! The packed GEMM-family driver: one pipeline behind plain GEMM, the
 //! full BLAS-3 surface, and the ABFT-checked runs of both.
 //!
-//! Every call is `D = alpha·op(A)·op(B) + beta·C` over an output region,
-//! described by one `PackedCall` whose fields are the only thing that
-//! distinguishes GEMM, SYMM/HEMM, and SYRK/HERK:
+//! Every call is one [`Blas3Call`] descriptor — its op kind (GEMM,
+//! SYMM/HEMM, SYRK/HERK) with exactly its own operands, plus `alpha`,
+//! `beta`, `C` and the precision — executed by
+//! [`M3xuContext::run`](crate::context::M3xuContext::run) (or queued by
+//! the serve layer, which owns its operands). The driver lowers it to
+//! `D = alpha·a·b + beta·C` over an output region, where `a` and `b` are
+//! logical views of the operands:
 //!
-//! * **plain GEMM** ([`crate::gemm`]) is the instance `op = N`,
+//! * **plain GEMM** ([`Blas3Call::gemm`], [`crate::gemm`]) is the instance `op = N`,
 //!   `alpha = beta = 1` over the full region — both folds below are
 //!   bitwise skips at unit scalars, so it is bit- and stats-identical to
 //!   op-GEMM with those parameters;
@@ -65,15 +69,15 @@
 //! [`FaultSummary`] and the context's fault counters instead.
 
 use crate::blocking::KPlan;
-use crate::context::{self, GemmSample, M3xuContext};
+use crate::context::{GemmSample, M3xuContext};
 use crate::gemm::{check_precision, validate_gemm_shapes, GemmPrecision, GemmResult};
 use crate::pool::WorkerPool;
-use m3xu_fp::complex::Complex;
+use m3xu_fp::complex::{Complex, Conjugate};
 use m3xu_mxu::abft::{self, Checksum, NoResidue, ResidueSink};
 use m3xu_mxu::dpu::DotProductUnit;
 use m3xu_mxu::error::M3xuError;
 use m3xu_mxu::fault::{self, FaultPlan, FaultSummary, FaultTarget, TaskFault};
-use m3xu_mxu::matrix::{MatOp, MatSource, Matrix, MirrorView, OpView, Triangle};
+use m3xu_mxu::matrix::{MatOp, MatSource, Matrix, MirrorView, OpView, RealPart, Triangle};
 use m3xu_mxu::mma::{MmaShape, MmaStats};
 use m3xu_mxu::modes::MxuMode;
 use m3xu_mxu::packed::{fragment_stats, PackedOperand, PackedStorage};
@@ -136,86 +140,131 @@ impl OutRegion {
     }
 }
 
-/// An element type the packed driver runs: the alpha/beta scalar
-/// algebra, the source-generic (op/alpha-aware) packers, the panel
-/// executor, and the expected per-k-chunk checksum of a checked run (the
-/// computed side comes out of the panel executor itself, and
-/// [`FaultTarget`] is where an injected fault lands).
-pub(crate) trait PackedElem: FaultTarget + Default + Send + Sync + 'static {
-    /// Bytes per reduction element in the packed value plane (`B` side) —
-    /// what the cache-blocking plan sizes its panels around.
-    const VAL_BYTES: usize;
-    /// The alpha/beta scalar type (`f32`, [`Complex<f32>`], `f64`).
-    type Scalar: Copy + Send + Sync + 'static;
-    /// The unit scalar: plain GEMM's alpha and beta.
-    const ONE: Self::Scalar;
-    /// Bitwise `== 1` — the multiplication skip the bit-exactness
-    /// contract between plain GEMM and op-GEMM hangs on.
-    fn is_unit(s: Self::Scalar) -> bool;
-    /// Bitwise `== +0.0` — the "never read C" overwrite fast path.
-    fn is_zero(s: Self::Scalar) -> bool;
-    /// `s * x` (the plain IEEE multiply the reference oracle mirrors).
-    fn scale(s: Self::Scalar, x: Self) -> Self;
-    /// The HERK diagonal seed `beta·Re(c)` — imaginary parts of a
-    /// Hermitian diagonal are never referenced (BLAS convention).
-    fn real_diag_seed(beta: Self::Scalar, c: Self) -> Self;
-    /// The value with any imaginary component forced to `+0.0`.
-    fn force_real(x: Self) -> Self;
-    /// Pack rows (the first operand) from any logical source, folding
-    /// `alpha` before quantisation.
-    fn pack_rows<S: MatSource<Self>>(
-        src: &S,
-        alpha: Self::Scalar,
-        mode: MxuMode,
-        storage: PackedStorage,
-    ) -> Result<PackedOperand, M3xuError>;
-    /// Pack columns (the second operand) from any logical source.
-    fn pack_cols<S: MatSource<Self>>(
-        src: &S,
-        mode: MxuMode,
-        storage: PackedStorage,
-    ) -> Result<PackedOperand, M3xuError>;
-    /// Execute a whole `[k0, kend)` reduction panel on one tile
-    /// (row-major `rows x cols` in `acc`), chunked at `frag_k`, through
-    /// the SIMD row pipeline where eligible, reporting every element's
-    /// exact pre-rounding residue into `sink`.
-    #[allow(clippy::too_many_arguments)]
-    fn execute_panel<S: ResidueSink>(
-        dpu: &mut DotProductUnit,
-        a: &PackedOperand,
-        b: &PackedOperand,
-        r0: usize,
-        rows: usize,
-        c0: usize,
-        cols: usize,
-        k0: usize,
-        kend: usize,
-        frag_k: usize,
-        acc: &mut [Self],
-        sink: &mut S,
-    );
-    /// Expected checksum of one k-chunk, from the tile's **packed**
-    /// operand bands and its pre-chunk accumulator (`seeds`, row-major
-    /// `rows × cols`): the expected side predicts exactly what the MMA
-    /// multiplies.
-    #[allow(clippy::too_many_arguments)]
-    fn expected_chunk(
-        a: &PackedOperand,
-        b: &PackedOperand,
-        seeds: &[Self],
-        r0: usize,
-        rows: usize,
-        c0: usize,
-        cols: usize,
-        k0: usize,
-        kend: usize,
-    ) -> Checksum;
+mod sealed {
+    use super::*;
+
+    /// An element type the packed driver runs: the alpha/beta scalar
+    /// algebra, the source-generic (op/alpha-aware) packers, the panel
+    /// executor, and the expected per-k-chunk checksum of a checked run (the
+    /// computed side comes out of the panel executor itself, and
+    /// [`FaultTarget`] is where an injected fault lands).
+    pub trait PackedElem:
+        FaultTarget + Conjugate + RealPart + Default + Send + Sync + 'static
+    {
+        /// Bytes per reduction element in the packed value plane (`B` side) —
+        /// what the cache-blocking plan sizes its panels around.
+        const VAL_BYTES: usize;
+        /// The alpha/beta scalar type (`f32`, [`Complex<f32>`], `f64`).
+        type Scalar: Copy + std::fmt::Debug + Send + Sync + 'static;
+        /// The unit scalar: plain GEMM's alpha and beta.
+        const ONE: Self::Scalar;
+        /// Complex elements: mirrors and rank-k updates are Hermitian.
+        const COMPLEX: bool;
+        /// The op names plain GEMM and op-GEMM report on this element.
+        const GEMM_NAMES: (&'static str, &'static str);
+        /// [`run_on`](super::run_on) on this element type. Each impl is
+        /// non-generic, so the driver is compiled once per element, in this
+        /// crate, whichever crate issues the call.
+        fn run_on(
+            ctx: &M3xuContext,
+            plan: Option<&FaultPlan>,
+            call: &Blas3Call<&Matrix<Self>>,
+        ) -> Result<(GemmResult<Self>, FaultSummary), M3xuError>
+        where
+            Self: Blas3Elem;
+        /// The engine a call's precision selects on this element, or the
+        /// typed mismatch (`context` names the op).
+        fn resolve_mode(
+            precision: Option<GemmPrecision>,
+            context: &'static str,
+        ) -> Result<MxuMode, M3xuError>;
+        /// Bitwise `== 1` — the multiplication skip the bit-exactness
+        /// contract between plain GEMM and op-GEMM hangs on.
+        fn is_unit(s: Self::Scalar) -> bool;
+        /// Bitwise `== +0.0` — the "never read C" overwrite fast path.
+        fn is_zero(s: Self::Scalar) -> bool;
+        /// `s * x` (the plain IEEE multiply the reference oracle mirrors).
+        fn scale(s: Self::Scalar, x: Self) -> Self;
+        /// The HERK diagonal seed `beta·Re(c)` — imaginary parts of a
+        /// Hermitian diagonal are never referenced (BLAS convention).
+        fn real_diag_seed(beta: Self::Scalar, c: Self) -> Self;
+        /// The value with any imaginary component forced to `+0.0`.
+        fn force_real(x: Self) -> Self;
+        /// Pack rows (the first operand) from any logical source, folding
+        /// `alpha` before quantisation.
+        fn pack_rows<S: MatSource<Self>>(
+            src: &S,
+            alpha: Self::Scalar,
+            mode: MxuMode,
+            storage: PackedStorage,
+        ) -> Result<PackedOperand, M3xuError>;
+        /// Pack columns (the second operand) from any logical source.
+        fn pack_cols<S: MatSource<Self>>(
+            src: &S,
+            mode: MxuMode,
+            storage: PackedStorage,
+        ) -> Result<PackedOperand, M3xuError>;
+        /// Execute a whole `[k0, kend)` reduction panel on one tile
+        /// (row-major `rows x cols` in `acc`), chunked at `frag_k`, through
+        /// the SIMD row pipeline where eligible, reporting every element's
+        /// exact pre-rounding residue into `sink`.
+        #[allow(clippy::too_many_arguments)]
+        fn execute_panel<S: ResidueSink>(
+            dpu: &mut DotProductUnit,
+            a: &PackedOperand,
+            b: &PackedOperand,
+            r0: usize,
+            rows: usize,
+            c0: usize,
+            cols: usize,
+            k0: usize,
+            kend: usize,
+            frag_k: usize,
+            acc: &mut [Self],
+            sink: &mut S,
+        );
+        /// Expected checksum of one k-chunk, from the tile's **packed**
+        /// operand bands and its pre-chunk accumulator (`seeds`, row-major
+        /// `rows × cols`): the expected side predicts exactly what the MMA
+        /// multiplies.
+        #[allow(clippy::too_many_arguments)]
+        fn expected_chunk(
+            a: &PackedOperand,
+            b: &PackedOperand,
+            seeds: &[Self],
+            r0: usize,
+            rows: usize,
+            c0: usize,
+            cols: usize,
+            k0: usize,
+            kend: usize,
+        ) -> Checksum;
+    }
 }
+
+pub(crate) use sealed::PackedElem;
 
 impl PackedElem for f32 {
     const VAL_BYTES: usize = std::mem::size_of::<f32>();
     type Scalar = f32;
     const ONE: f32 = 1.0;
+    const COMPLEX: bool = false;
+    const GEMM_NAMES: (&'static str, &'static str) = ("gemm", "gemm_op");
+    fn run_on(
+        ctx: &M3xuContext,
+        plan: Option<&FaultPlan>,
+        call: &Blas3Call<&Matrix<Self>>,
+    ) -> Result<(GemmResult<Self>, FaultSummary), M3xuError> {
+        run_with_plan(ctx, plan, call)
+    }
+    fn resolve_mode(
+        precision: Option<GemmPrecision>,
+        context: &'static str,
+    ) -> Result<MxuMode, M3xuError> {
+        let precision = precision.unwrap_or(GemmPrecision::M3xuFp32);
+        check_precision(precision, true, context)?;
+        Ok(precision.mode())
+    }
     #[inline]
     fn is_unit(s: f32) -> bool {
         s.to_bits() == 1.0f32.to_bits()
@@ -292,6 +341,28 @@ impl PackedElem for Complex<f32> {
     const VAL_BYTES: usize = std::mem::size_of::<Complex<f32>>();
     type Scalar = Complex<f32>;
     const ONE: Complex<f32> = Complex::<f32>::ONE;
+    const COMPLEX: bool = true;
+    const GEMM_NAMES: (&'static str, &'static str) = ("cgemm", "cgemm_op");
+    fn run_on(
+        ctx: &M3xuContext,
+        plan: Option<&FaultPlan>,
+        call: &Blas3Call<&Matrix<Self>>,
+    ) -> Result<(GemmResult<Self>, FaultSummary), M3xuError> {
+        run_with_plan(ctx, plan, call)
+    }
+    /// FP32C is the only complex engine: the dial has no setting for it.
+    fn resolve_mode(
+        precision: Option<GemmPrecision>,
+        context: &'static str,
+    ) -> Result<MxuMode, M3xuError> {
+        match precision {
+            None => Ok(MxuMode::M3xuFp32c),
+            Some(p) => Err(M3xuError::ModeMismatch {
+                context,
+                got: p.mode(),
+            }),
+        }
+    }
     #[inline]
     fn is_unit(s: Complex<f32>) -> bool {
         s.re.to_bits() == 1.0f32.to_bits() && s.im.to_bits() == 0.0f32.to_bits()
@@ -374,6 +445,23 @@ impl PackedElem for f64 {
     const VAL_BYTES: usize = std::mem::size_of::<f64>();
     type Scalar = f64;
     const ONE: f64 = 1.0;
+    const COMPLEX: bool = false;
+    const GEMM_NAMES: (&'static str, &'static str) = ("gemm_f64", "gemm_op_f64");
+    fn run_on(
+        ctx: &M3xuContext,
+        plan: Option<&FaultPlan>,
+        call: &Blas3Call<&Matrix<Self>>,
+    ) -> Result<(GemmResult<Self>, FaultSummary), M3xuError> {
+        run_with_plan(ctx, plan, call)
+    }
+    fn resolve_mode(
+        precision: Option<GemmPrecision>,
+        context: &'static str,
+    ) -> Result<MxuMode, M3xuError> {
+        let precision = precision.unwrap_or(GemmPrecision::Fp64Emulated);
+        check_precision(precision, false, context)?;
+        Ok(precision.mode())
+    }
     #[inline]
     fn is_unit(s: f64) -> bool {
         s.to_bits() == 1.0f64.to_bits()
@@ -446,10 +534,294 @@ impl PackedElem for f64 {
     }
 }
 
-/// One call of the packed driver: `D = alpha·a·b + beta·C` over
+/// The element types a [`Blas3Call`] runs on: `f32` (the five f32
+/// engines of the precision dial), [`Complex<f32>`] (FP32C) and `f64`
+/// (emulated FP64). The element type also decides symmetric vs
+/// Hermitian: SYMM and SYRK on complex elements are HEMM and HERK.
+/// Sealed — the packed driver's per-element machinery stays private.
+pub trait Blas3Elem: sealed::PackedElem {}
+
+impl Blas3Elem for f32 {}
+impl Blas3Elem for Complex<f32> {}
+impl Blas3Elem for f64 {}
+
+/// The alpha/beta scalar of element type `E`: `f32`, [`Complex<f32>`]
+/// or `f64`.
+pub type Scalar<E> = <E as PackedElem>::Scalar;
+
+/// What holds a [`Blas3Call`]'s matrices: `&Matrix<E>` where the caller
+/// keeps its operands (the kernel layer), `Matrix<E>` where the call owns
+/// them (a queued serve request). One descriptor type covers both.
+pub trait Operand {
+    /// The element type.
+    type Elem: Blas3Elem;
+    /// The held matrix.
+    fn matrix(&self) -> &Matrix<Self::Elem>;
+}
+
+impl<E: Blas3Elem> Operand for Matrix<E> {
+    type Elem = E;
+    fn matrix(&self) -> &Matrix<E> {
+        self
+    }
+}
+
+impl<E: Blas3Elem> Operand for &Matrix<E> {
+    type Elem = E;
+    fn matrix(&self) -> &Matrix<E> {
+        self
+    }
+}
+
+/// The op kind of a call, carrying exactly its own operands.
+#[derive(Debug, Clone)]
+enum Kind<M> {
+    /// `alpha·op(A)·op(B) + beta·C`.
+    Gemm {
+        op_a: MatOp,
+        a: M,
+        op_b: MatOp,
+        b: M,
+    },
+    /// `alpha·sym(A)·B + beta·C` (or `B·sym(A)`), `sym(A)` expanded from
+    /// the `tri` triangle of the square `A`; Hermitian on complex
+    /// elements (HEMM).
+    Symm {
+        side: Side,
+        tri: Triangle,
+        a: M,
+        b: M,
+    },
+    /// `alpha·op(A)·op(A)^T + beta·C` over the `tri` triangle of `C`;
+    /// `op(A)^H` and an exactly real diagonal on complex elements (HERK).
+    RankK { tri: Triangle, op_a: MatOp, a: M },
+}
+
+/// One BLAS-3 call — GEMM, op-GEMM, SYMM/HEMM or SYRK/HERK — as data:
+/// the op kind with its operands, `alpha`, `beta`, `C`, and the
+/// precision. [`M3xuContext::run`] executes it, and the serve layer
+/// queues the same descriptor with owned operands.
+///
+/// Constructors exist for each op on the element types it is defined
+/// for; [`Blas3Call::with_precision`] turns the precision dial.
+///
+/// ```
+/// use m3xu_kernels::blas3::Blas3Call;
+/// use m3xu_kernels::context::M3xuContext;
+/// use m3xu_mxu::matrix::{MatOp, Matrix, Triangle};
+///
+/// let ctx = M3xuContext::with_threads(2);
+/// let a = Matrix::<f32>::random(24, 16, 1);
+/// let c = Matrix::<f32>::zeros(24, 24);
+/// // C := A·A^T over the lower triangle only.
+/// let call = Blas3Call::syrk(Triangle::Lower, MatOp::N, &a, 1.0, 0.0, &c);
+/// let (r, _faults) = ctx.run(&call).unwrap();
+/// assert_eq!(r.d.get(0, 23), 0.0);
+/// ```
+#[derive(Debug, Clone)]
+pub struct Blas3Call<M: Operand> {
+    /// The op name a [`M3xuError::FaultDetected`] reports (and a
+    /// precision mismatch names).
+    name: &'static str,
+    kind: Kind<M>,
+    alpha: Scalar<M::Elem>,
+    beta: Scalar<M::Elem>,
+    c: M,
+    /// `None` runs the element's own engine: M3xuFp32 for `f32`, FP32C
+    /// for complex, emulated FP64 for `f64`.
+    precision: Option<GemmPrecision>,
+}
+
+impl<M: Operand> Blas3Call<M> {
+    fn new(
+        name: &'static str,
+        kind: Kind<M>,
+        alpha: Scalar<M::Elem>,
+        beta: Scalar<M::Elem>,
+        c: M,
+    ) -> Self {
+        Blas3Call {
+            name,
+            kind,
+            alpha,
+            beta,
+            c,
+            precision: None,
+        }
+    }
+
+    /// Plain `D = A·B + C`: op-GEMM at `op = N`, `alpha = beta = 1`.
+    pub fn gemm(a: M, b: M, c: M) -> Self {
+        let one = M::Elem::ONE;
+        let kind = Kind::Gemm {
+            op_a: MatOp::N,
+            a,
+            op_b: MatOp::N,
+            b,
+        };
+        Self::new(M::Elem::GEMM_NAMES.0, kind, one, one, c)
+    }
+
+    /// Op-GEMM `D = alpha·op(A)·op(B) + beta·C`, where `op` selects `X`,
+    /// `X^T` or `X^H` per operand without materializing a copy.
+    pub fn gemm_op(
+        op_a: MatOp,
+        a: M,
+        op_b: MatOp,
+        b: M,
+        alpha: Scalar<M::Elem>,
+        beta: Scalar<M::Elem>,
+        c: M,
+    ) -> Self {
+        let kind = Kind::Gemm { op_a, a, op_b, b };
+        Self::new(M::Elem::GEMM_NAMES.1, kind, alpha, beta, c)
+    }
+
+    /// Run on `precision`'s engine — the per-call precision dial. `f32`
+    /// calls take the five f32 engines, `f64` calls only
+    /// [`GemmPrecision::Fp64Emulated`], and complex calls none (FP32C is
+    /// their only engine); any other choice fails at execution with
+    /// [`M3xuError::ModeMismatch`].
+    pub fn with_precision(mut self, precision: GemmPrecision) -> Self {
+        self.precision = Some(precision);
+        self
+    }
+
+    /// The engine mode this call executes in, or the
+    /// [`M3xuError::ModeMismatch`] its precision resolves to.
+    pub fn mode(&self) -> Result<MxuMode, M3xuError> {
+        M::Elem::resolve_mode(self.precision, self.name)
+    }
+
+    /// The logical `(m, k, n)` of the product: `op(A)` is `m x k`, the
+    /// second factor `k x n`, `C` `m x n`.
+    pub fn dims(&self) -> (usize, usize, usize) {
+        match &self.kind {
+            Kind::Gemm { op_a, a, op_b, b } => {
+                let (a, b) = (a.matrix(), b.matrix());
+                let (m, k) = op_a.dims(a.rows(), a.cols());
+                (m, k, op_b.dims(b.rows(), b.cols()).1)
+            }
+            Kind::Symm { side, a, b, .. } => {
+                let (order, b) = (a.matrix().rows(), b.matrix());
+                match side {
+                    Side::Left => (order, order, b.cols()),
+                    Side::Right => (b.rows(), order, order),
+                }
+            }
+            Kind::RankK { op_a, a, .. } => {
+                let a = a.matrix();
+                let (n, k) = op_a.dims(a.rows(), a.cols());
+                (n, k, n)
+            }
+        }
+    }
+
+    /// The same call, borrowing its operands.
+    fn borrowed(&self) -> Blas3Call<&Matrix<M::Elem>> {
+        let kind = match &self.kind {
+            Kind::Gemm { op_a, a, op_b, b } => Kind::Gemm {
+                op_a: *op_a,
+                a: a.matrix(),
+                op_b: *op_b,
+                b: b.matrix(),
+            },
+            Kind::Symm { side, tri, a, b } => Kind::Symm {
+                side: *side,
+                tri: *tri,
+                a: a.matrix(),
+                b: b.matrix(),
+            },
+            Kind::RankK { tri, op_a, a } => Kind::RankK {
+                tri: *tri,
+                op_a: *op_a,
+                a: a.matrix(),
+            },
+        };
+        Blas3Call {
+            name: self.name,
+            kind,
+            alpha: self.alpha,
+            beta: self.beta,
+            c: self.c.matrix(),
+            precision: self.precision,
+        }
+    }
+
+    /// The output region the call writes.
+    fn region(&self) -> OutRegion {
+        match self.kind {
+            Kind::RankK { tri, .. } => OutRegion::Tri(tri),
+            _ => OutRegion::Full,
+        }
+    }
+
+    /// Output tiles the driver schedules: the whole `m x n` tile grid, or
+    /// the `T(T+1)/2` tiles meeting a rank-k update's triangle.
+    pub fn output_tiles(&self) -> usize {
+        let (m, _, n) = self.dims();
+        TileGrid::new(MmaShape::BASELINE_FP16, m, n, self.region()).len
+    }
+
+    /// Rule-(c) operand traffic: `(m·k + k·n)` elements at the mode's
+    /// storage width (2 bytes FP16/BF16, 4 bytes TF32/FP32, 8 bytes
+    /// FP32C/FP64), not at `size_of::<E>()` — a rank-k update reads
+    /// `op(A)` twice, a SYMM the expanded square operand. Zero for a
+    /// degenerate shape (which moves no operands) or an unresolvable
+    /// precision (which never runs).
+    pub fn operand_bytes(&self) -> u64 {
+        let (m, k, n) = self.dims();
+        match self.mode() {
+            Ok(mode) if m > 0 && k > 0 && n > 0 => ((m * k + k * n) * mode.element_bytes()) as u64,
+            _ => 0,
+        }
+    }
+}
+
+impl<M: Operand<Elem = f32>> Blas3Call<M> {
+    /// SYRK `C := alpha·op(A)·op(A)^T + beta·C`, writing only the `tri`
+    /// triangle of `C` — the other passes through byte-for-byte.
+    pub fn syrk(tri: Triangle, op_a: MatOp, a: M, alpha: f32, beta: f32, c: M) -> Self {
+        Self::new("syrk", Kind::RankK { tri, op_a, a }, alpha, beta, c)
+    }
+
+    /// SYMM `C := alpha·sym(A)·B + beta·C` ([`Side::Left`]) or
+    /// `alpha·B·sym(A) + beta·C` ([`Side::Right`]), `sym(A)` expanded
+    /// from the `tri` triangle of the square `A` (the other triangle is
+    /// never read).
+    pub fn symm(side: Side, tri: Triangle, a: M, b: M, alpha: f32, beta: f32, c: M) -> Self {
+        Self::new("symm", Kind::Symm { side, tri, a, b }, alpha, beta, c)
+    }
+}
+
+impl<M: Operand<Elem = Complex<f32>>> Blas3Call<M> {
+    /// HERK `C := alpha·op(A)·op(A)^H + beta·C` with real `alpha`/`beta`,
+    /// writing only the `tri` triangle with an exactly real diagonal.
+    /// `op_a` must be `N` or `H`; `T` fails at execution.
+    pub fn herk(tri: Triangle, op_a: MatOp, a: M, alpha: f32, beta: f32, c: M) -> Self {
+        let (alpha, beta) = (Complex::new(alpha, 0.0), Complex::new(beta, 0.0));
+        Self::new("herk", Kind::RankK { tri, op_a, a }, alpha, beta, c)
+    }
+
+    /// HEMM: [`Blas3Call::symm`] with `herm(A)`, which conjugates across
+    /// the diagonal and reads diagonal entries as real.
+    pub fn hemm(
+        side: Side,
+        tri: Triangle,
+        a: M,
+        b: M,
+        alpha: Complex<f32>,
+        beta: Complex<f32>,
+        c: M,
+    ) -> Self {
+        Self::new("hemm", Kind::Symm { side, tri, a, b }, alpha, beta, c)
+    }
+}
+
+/// The lowered call the driver runs: `D = alpha·a·b + beta·C` over
 /// `region`, where `a` and `b` are *logical* sources (op views, mirror
 /// views, or plain matrices) and alpha folds into `a` at pack time.
-pub(crate) struct PackedCall<'a, E: PackedElem, SA, SB> {
+struct PackedCall<'a, E: PackedElem, SA, SB> {
     /// The op name a [`M3xuError::FaultDetected`] reports.
     op: &'static str,
     mode: MxuMode,
@@ -462,45 +834,45 @@ pub(crate) struct PackedCall<'a, E: PackedElem, SA, SB> {
     /// HERK: diagonal entries seed from `beta·Re(c)` and store exactly
     /// real.
     real_diag: bool,
+    /// [`Blas3Call::operand_bytes`], recorded on success.
+    operand_bytes: u64,
 }
 
 impl<'a, E: PackedElem, SA, SB> PackedCall<'a, E, SA, SB> {
-    /// A full-output call `D = alpha·a·b + beta·C`; SYRK/HERK narrow the
-    /// region (and HERK the diagonal) with struct-update syntax.
-    pub(crate) fn full(
-        op: &'static str,
+    fn new<M: Operand<Elem = E>>(
+        call: &'a Blas3Call<M>,
         mode: MxuMode,
         a: &'a SA,
         b: &'a SB,
-        alpha: E::Scalar,
-        beta: E::Scalar,
-        c: &'a Matrix<E>,
     ) -> Self {
+        let region = call.region();
         PackedCall {
-            op,
+            op: call.name,
             mode,
             a,
             b,
-            alpha,
-            beta,
-            c,
-            region: OutRegion::Full,
-            real_diag: false,
+            alpha: call.alpha,
+            beta: call.beta,
+            c: call.c.matrix(),
+            region,
+            real_diag: E::COMPLEX && matches!(region, OutRegion::Tri(_)),
+            operand_bytes: call.operand_bytes(),
         }
     }
 }
 
-impl<'a, E: PackedElem> PackedCall<'a, E, Matrix<E>, Matrix<E>> {
-    /// Plain `D = A·B + C`: op-GEMM at `op = N`, `alpha = beta = 1` over
-    /// the full output.
-    pub(crate) fn gemm(
-        op: &'static str,
-        mode: MxuMode,
-        a: &'a Matrix<E>,
-        b: &'a Matrix<E>,
-        c: &'a Matrix<E>,
-    ) -> Self {
-        Self::full(op, mode, a, b, E::ONE, E::ONE, c)
+/// The second operand's op of a rank-k update: `op(A)^T` on real
+/// elements (`H` collapses to `T`), `op(A)^H` on complex ones, where
+/// `op(A) = A^T` has no Hermitian-rank-k meaning.
+fn rank_k_b_op<E: PackedElem>(op_a: MatOp) -> Result<MatOp, M3xuError> {
+    match (op_a, E::COMPLEX) {
+        (MatOp::N, false) => Ok(MatOp::T),
+        (MatOp::N, true) => Ok(MatOp::H),
+        (MatOp::T, true) => Err(M3xuError::ModeMismatch {
+            context: "herk(op): op(A) must be N or H",
+            got: MxuMode::M3xuFp32c,
+        }),
+        (MatOp::T | MatOp::H, _) => Ok(MatOp::N),
     }
 }
 
@@ -904,11 +1276,84 @@ impl<E: PackedElem> Pass<'_, E> {
     }
 }
 
-/// The packed driver: run `call` on `pool`, checked under `plan` when one
-/// is given. With a context attached, the packed operands borrow its
-/// scratch arena and the call's accounting (fragment grid, operand
-/// traffic, per-phase wall time, fault telemetry) lands in its counters.
-pub(crate) fn run<E, SA, SB>(
+/// The packed driver: lower `call` and run it on `pool`, checked under
+/// `plan` when one is given. With a context attached, the packed operands
+/// borrow its scratch arena and the call's accounting (fragment grid,
+/// operand traffic, per-phase wall time, fault telemetry) lands in its
+/// counters.
+///
+/// Lowering is the one place a call is validated: the precision resolves
+/// against the element type, SYMM/HEMM need a square `A`, HERK rejects
+/// `op(A) = T`, and the operands become op/mirror views.
+pub(crate) fn run<E: Blas3Elem>(
+    pool: &WorkerPool,
+    ctx: Option<&M3xuContext>,
+    plan: Option<&FaultPlan>,
+    call: &Blas3Call<&Matrix<E>>,
+) -> Result<(GemmResult<E>, FaultSummary), M3xuError> {
+    let mode = call.mode()?;
+    match call.kind {
+        // Untransposed operands pack straight from the matrices.
+        Kind::Gemm {
+            op_a: MatOp::N,
+            a,
+            op_b: MatOp::N,
+            b,
+        } => drive(pool, ctx, plan, PackedCall::new(call, mode, a, b)),
+        Kind::Gemm { op_a, a, op_b, b } => {
+            let (a, b) = (OpView::new(a, op_a), OpView::new(b, op_b));
+            drive(pool, ctx, plan, PackedCall::new(call, mode, &a, &b))
+        }
+        Kind::Symm { side, tri, a, b } => {
+            if a.rows() != a.cols() {
+                return Err(M3xuError::ShapeMismatch {
+                    context: if E::COMPLEX {
+                        "hemm(A): A must be square"
+                    } else {
+                        "symm(A): A must be square"
+                    },
+                    expected: (a.rows(), a.rows()),
+                    got: (a.rows(), a.cols()),
+                });
+            }
+            let mirror = MirrorView::new(a, tri, E::COMPLEX);
+            match side {
+                Side::Left => drive(pool, ctx, plan, PackedCall::new(call, mode, &mirror, b)),
+                Side::Right => drive(pool, ctx, plan, PackedCall::new(call, mode, b, &mirror)),
+            }
+        }
+        Kind::RankK { op_a, a, .. } => {
+            let b_op = rank_k_b_op::<E>(op_a)?;
+            let (a, b) = (OpView::new(a, op_a), OpView::new(a, b_op));
+            drive(pool, ctx, plan, PackedCall::new(call, mode, &a, &b))
+        }
+    }
+}
+
+/// Run `call` on `ctx`, checked under `plan` when one is given and
+/// otherwise under the context's own armed plan, if any — the one place
+/// a GEMM-family call picks its fault plan.
+pub(crate) fn run_on<M: Operand>(
+    ctx: &M3xuContext,
+    plan: Option<&FaultPlan>,
+    call: &Blas3Call<M>,
+) -> Result<(GemmResult<M::Elem>, FaultSummary), M3xuError> {
+    M::Elem::run_on(ctx, plan, &call.borrowed())
+}
+
+/// [`run_on`] for one element type, behind [`PackedElem::run_on`].
+fn run_with_plan<E: Blas3Elem>(
+    ctx: &M3xuContext,
+    plan: Option<&FaultPlan>,
+    call: &Blas3Call<&Matrix<E>>,
+) -> Result<(GemmResult<E>, FaultSummary), M3xuError> {
+    let plan = plan.or(ctx.fault_plan().map(|p| &**p));
+    run(ctx.pool(), Some(ctx), plan, call)
+}
+
+/// Execute one lowered call: shape validation, packing, the tile
+/// schedule, and the unchecked or checked reduction.
+fn drive<E, SA, SB>(
     pool: &WorkerPool,
     ctx: Option<&M3xuContext>,
     plan: Option<&FaultPlan>,
@@ -929,6 +1374,7 @@ where
         c,
         region,
         real_diag,
+        operand_bytes,
     } = call;
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     validate_gemm_shapes(a, b, c)?;
@@ -1012,12 +1458,7 @@ where
                 stats,
                 tiles: tiles as u64,
                 fragments: frags,
-                // Rule (c) operand traffic at logical dimensions and the
-                // mode's storage width (2 bytes FP16/BF16, 4 bytes
-                // TF32/FP32, 8 bytes FP32C), not at `size_of::<E>()`: a
-                // rank-k update reads op(A) twice, a SYMM reads the
-                // expanded square operand.
-                operand_bytes: ((m * k + k * n) * mode.element_bytes()) as u64,
+                operand_bytes,
                 pack_ns,
                 exec_ns,
             });
@@ -1037,442 +1478,16 @@ where
     Ok((GemmResult { d, stats }, summary))
 }
 
-/// Run `call` on `ctx`, checked under `plan` when one is given and
-/// otherwise under the context's own armed plan, if any — the one place
-/// a GEMM-family call picks its fault plan.
-pub(crate) fn run_on<E, SA, SB>(
-    ctx: &M3xuContext,
-    plan: Option<&FaultPlan>,
-    call: PackedCall<'_, E, SA, SB>,
-) -> Result<(GemmResult<E>, FaultSummary), M3xuError>
-where
-    E: PackedElem,
-    SA: MatSource<E>,
-    SB: MatSource<E>,
-{
-    let plan = plan.or(ctx.fault_plan().map(|p| &**p));
-    run(ctx.pool(), Some(ctx), plan, call)
-}
-
-/// The transpose of `op(A)` for a real rank-k update's second operand
-/// (`H` collapses to `T` on real elements).
-fn syrk_b_op(op: MatOp) -> MatOp {
-    match op {
-        MatOp::N => MatOp::T,
-        MatOp::T | MatOp::H => MatOp::N,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Context-attached bodies (the `M3xuContext` methods delegate here), each
-// returning the invocation's `FaultSummary`.
-// ---------------------------------------------------------------------------
-
-/// Context-attached op-GEMM `D = alpha·op(A)·op(B) + beta·C` on an f32
-/// engine.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn try_gemm_op_f32_faulted_ctx(
-    ctx: &M3xuContext,
-    precision: GemmPrecision,
-    op_a: MatOp,
-    a: &Matrix<f32>,
-    op_b: MatOp,
-    b: &Matrix<f32>,
-    alpha: f32,
-    beta: f32,
-    c: &Matrix<f32>,
-) -> Result<(GemmResult<f32>, FaultSummary), M3xuError> {
-    check_precision(precision, true, "gemm_op_f32")?;
-    let (a, b) = (&OpView::new(a, op_a), &OpView::new(b, op_b));
-    let call = PackedCall::full("gemm_op", precision.mode(), a, b, alpha, beta, c);
-    run_on(ctx, None, call)
-}
-
-/// Context-attached complex op-GEMM on the FP32C engine.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn try_cgemm_op_c32_faulted_ctx(
-    ctx: &M3xuContext,
-    op_a: MatOp,
-    a: &Matrix<Complex<f32>>,
-    op_b: MatOp,
-    b: &Matrix<Complex<f32>>,
-    alpha: Complex<f32>,
-    beta: Complex<f32>,
-    c: &Matrix<Complex<f32>>,
-) -> Result<(GemmResult<Complex<f32>>, FaultSummary), M3xuError> {
-    let (a, b) = (&OpView::new(a, op_a), &OpView::new(b, op_b));
-    let call = PackedCall::full("cgemm_op", MxuMode::M3xuFp32c, a, b, alpha, beta, c);
-    run_on(ctx, None, call)
-}
-
-/// Context-attached emulated-FP64 op-GEMM.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn try_gemm_op_f64_faulted_ctx(
-    ctx: &M3xuContext,
-    precision: GemmPrecision,
-    op_a: MatOp,
-    a: &Matrix<f64>,
-    op_b: MatOp,
-    b: &Matrix<f64>,
-    alpha: f64,
-    beta: f64,
-    c: &Matrix<f64>,
-) -> Result<(GemmResult<f64>, FaultSummary), M3xuError> {
-    check_precision(precision, false, "gemm_op_f64")?;
-    let (a, b) = (&OpView::new(a, op_a), &OpView::new(b, op_b));
-    let call = PackedCall::full("gemm_op_f64", precision.mode(), a, b, alpha, beta, c);
-    run_on(ctx, None, call)
-}
-
-/// Context-attached SYRK `C := alpha·op(A)·op(A)^T + beta·C`, writing
-/// only the `tri` triangle of `C`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn try_syrk_f32_faulted_ctx(
-    ctx: &M3xuContext,
-    precision: GemmPrecision,
-    tri: Triangle,
-    op_a: MatOp,
-    a: &Matrix<f32>,
-    alpha: f32,
-    beta: f32,
-    c: &Matrix<f32>,
-) -> Result<(GemmResult<f32>, FaultSummary), M3xuError> {
-    check_precision(precision, true, "syrk_f32")?;
-    let (a, b) = (&OpView::new(a, op_a), &OpView::new(a, syrk_b_op(op_a)));
-    let call = PackedCall {
-        region: OutRegion::Tri(tri),
-        ..PackedCall::full("syrk", precision.mode(), a, b, alpha, beta, c)
-    };
-    run_on(ctx, None, call)
-}
-
-/// Context-attached HERK `C := alpha·op(A)·op(A)^H + beta·C` with real
-/// `alpha`/`beta`, writing only the `tri` triangle; diagonal entries are
-/// exactly real on output (BLAS convention). `op_a` must be `N` or `H` —
-/// `T` has no Hermitian-rank-k meaning and is rejected.
-pub(crate) fn try_herk_c32_faulted_ctx(
-    ctx: &M3xuContext,
-    tri: Triangle,
-    op_a: MatOp,
-    a: &Matrix<Complex<f32>>,
-    alpha: f32,
-    beta: f32,
-    c: &Matrix<Complex<f32>>,
-) -> Result<(GemmResult<Complex<f32>>, FaultSummary), M3xuError> {
-    let b_op = match op_a {
-        MatOp::N => MatOp::H,
-        MatOp::H => MatOp::N,
-        MatOp::T => {
-            return Err(M3xuError::ModeMismatch {
-                context: "herk(op): op(A) must be N or H",
-                got: MxuMode::M3xuFp32c,
-            })
-        }
-    };
-    let (a, b) = (&OpView::new(a, op_a), &OpView::new(a, b_op));
-    let (alpha, beta) = (Complex::new(alpha, 0.0), Complex::new(beta, 0.0));
-    let call = PackedCall {
-        region: OutRegion::Tri(tri),
-        real_diag: true,
-        ..PackedCall::full("herk", MxuMode::M3xuFp32c, a, b, alpha, beta, c)
-    };
-    run_on(ctx, None, call)
-}
-
-/// Context-attached SYMM: `C := alpha·sym(A)·B + beta·C` (Left) or
-/// `C := alpha·B·sym(A) + beta·C` (Right), where `sym(A)` expands the
-/// `tri`-stored triangle of the square matrix `A` on the fly.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn try_symm_f32_faulted_ctx(
-    ctx: &M3xuContext,
-    precision: GemmPrecision,
-    side: Side,
-    tri: Triangle,
-    a: &Matrix<f32>,
-    b: &Matrix<f32>,
-    alpha: f32,
-    beta: f32,
-    c: &Matrix<f32>,
-) -> Result<(GemmResult<f32>, FaultSummary), M3xuError> {
-    check_precision(precision, true, "symm_f32")?;
-    if a.rows() != a.cols() {
-        return Err(M3xuError::ShapeMismatch {
-            context: "symm(A): A must be square",
-            expected: (a.rows(), a.rows()),
-            got: (a.rows(), a.cols()),
-        });
-    }
-    let sym = &MirrorView::new(a, tri, false);
-    let mode = precision.mode();
-    match side {
-        Side::Left => run_on(
-            ctx,
-            None,
-            PackedCall::full("symm", mode, sym, b, alpha, beta, c),
-        ),
-        Side::Right => run_on(
-            ctx,
-            None,
-            PackedCall::full("symm", mode, b, sym, alpha, beta, c),
-        ),
-    }
-}
-
-/// Context-attached HEMM: the Hermitian counterpart of
-/// [`try_symm_f32_faulted_ctx`] on the FP32C engine. The mirror
-/// conjugates across the diagonal and reads diagonal entries as real
-/// (BLAS convention).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn try_hemm_c32_faulted_ctx(
-    ctx: &M3xuContext,
-    side: Side,
-    tri: Triangle,
-    a: &Matrix<Complex<f32>>,
-    b: &Matrix<Complex<f32>>,
-    alpha: Complex<f32>,
-    beta: Complex<f32>,
-    c: &Matrix<Complex<f32>>,
-) -> Result<(GemmResult<Complex<f32>>, FaultSummary), M3xuError> {
-    if a.rows() != a.cols() {
-        return Err(M3xuError::ShapeMismatch {
-            context: "hemm(A): A must be square",
-            expected: (a.rows(), a.rows()),
-            got: (a.rows(), a.cols()),
-        });
-    }
-    let herm = &MirrorView::new(a, tri, true);
-    let mode = MxuMode::M3xuFp32c;
-    match side {
-        Side::Left => run_on(
-            ctx,
-            None,
-            PackedCall::full("hemm", mode, herm, b, alpha, beta, c),
-        ),
-        Side::Right => run_on(
-            ctx,
-            None,
-            PackedCall::full("hemm", mode, b, herm, alpha, beta, c),
-        ),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Free functions on the process-wide default context.
-// ---------------------------------------------------------------------------
-
-/// Fallible op-GEMM `D = alpha·op(A)·op(B) + beta·C` on the default
-/// context. `op = N`, `alpha = 1`, `beta = 1` is bit-identical to
-/// [`crate::gemm::try_gemm_f32`].
-#[allow(clippy::too_many_arguments)]
-pub fn try_gemm_op_f32(
-    precision: GemmPrecision,
-    op_a: MatOp,
-    a: &Matrix<f32>,
-    op_b: MatOp,
-    b: &Matrix<f32>,
-    alpha: f32,
-    beta: f32,
-    c: &Matrix<f32>,
-) -> Result<GemmResult<f32>, M3xuError> {
-    context::default_context().try_gemm_op_f32(precision, op_a, a, op_b, b, alpha, beta, c)
-}
-
-/// Op-GEMM `D = alpha·op(A)·op(B) + beta·C`. Panics on shape/precision
-/// mismatch; see [`try_gemm_op_f32`] for the fallible form.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_op_f32(
-    precision: GemmPrecision,
-    op_a: MatOp,
-    a: &Matrix<f32>,
-    op_b: MatOp,
-    b: &Matrix<f32>,
-    alpha: f32,
-    beta: f32,
-    c: &Matrix<f32>,
-) -> GemmResult<f32> {
-    try_gemm_op_f32(precision, op_a, a, op_b, b, alpha, beta, c).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible complex op-GEMM on the default context.
-#[allow(clippy::too_many_arguments)]
-pub fn try_cgemm_op_c32(
-    op_a: MatOp,
-    a: &Matrix<Complex<f32>>,
-    op_b: MatOp,
-    b: &Matrix<Complex<f32>>,
-    alpha: Complex<f32>,
-    beta: Complex<f32>,
-    c: &Matrix<Complex<f32>>,
-) -> Result<GemmResult<Complex<f32>>, M3xuError> {
-    context::default_context().try_cgemm_op_c32(op_a, a, op_b, b, alpha, beta, c)
-}
-
-/// Complex op-GEMM. Panics on shape mismatch; see [`try_cgemm_op_c32`].
-#[allow(clippy::too_many_arguments)]
-pub fn cgemm_op_c32(
-    op_a: MatOp,
-    a: &Matrix<Complex<f32>>,
-    op_b: MatOp,
-    b: &Matrix<Complex<f32>>,
-    alpha: Complex<f32>,
-    beta: Complex<f32>,
-    c: &Matrix<Complex<f32>>,
-) -> GemmResult<Complex<f32>> {
-    try_cgemm_op_c32(op_a, a, op_b, b, alpha, beta, c).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible emulated-FP64 op-GEMM on the default context.
-#[allow(clippy::too_many_arguments)]
-pub fn try_gemm_op_f64(
-    op_a: MatOp,
-    a: &Matrix<f64>,
-    op_b: MatOp,
-    b: &Matrix<f64>,
-    alpha: f64,
-    beta: f64,
-    c: &Matrix<f64>,
-) -> Result<GemmResult<f64>, M3xuError> {
-    context::default_context().try_gemm_op_f64(
-        GemmPrecision::Fp64Emulated,
-        op_a,
-        a,
-        op_b,
-        b,
-        alpha,
-        beta,
-        c,
-    )
-}
-
-/// Emulated-FP64 op-GEMM. Panics on shape mismatch; see
-/// [`try_gemm_op_f64`].
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_op_f64(
-    op_a: MatOp,
-    a: &Matrix<f64>,
-    op_b: MatOp,
-    b: &Matrix<f64>,
-    alpha: f64,
-    beta: f64,
-    c: &Matrix<f64>,
-) -> GemmResult<f64> {
-    try_gemm_op_f64(op_a, a, op_b, b, alpha, beta, c).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible SYRK `C := alpha·op(A)·op(A)^T + beta·C` on the default
-/// context, writing only the `tri` triangle.
-pub fn try_syrk_f32(
-    precision: GemmPrecision,
-    tri: Triangle,
-    op_a: MatOp,
-    a: &Matrix<f32>,
-    alpha: f32,
-    beta: f32,
-    c: &Matrix<f32>,
-) -> Result<GemmResult<f32>, M3xuError> {
-    context::default_context().try_syrk_f32(precision, tri, op_a, a, alpha, beta, c)
-}
-
-/// SYRK. Panics on shape/precision mismatch; see [`try_syrk_f32`].
-pub fn syrk_f32(
-    precision: GemmPrecision,
-    tri: Triangle,
-    op_a: MatOp,
-    a: &Matrix<f32>,
-    alpha: f32,
-    beta: f32,
-    c: &Matrix<f32>,
-) -> GemmResult<f32> {
-    try_syrk_f32(precision, tri, op_a, a, alpha, beta, c).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible HERK `C := alpha·op(A)·op(A)^H + beta·C` (real alpha/beta) on
-/// the default context, writing only the `tri` triangle.
-pub fn try_herk_c32(
-    tri: Triangle,
-    op_a: MatOp,
-    a: &Matrix<Complex<f32>>,
-    alpha: f32,
-    beta: f32,
-    c: &Matrix<Complex<f32>>,
-) -> Result<GemmResult<Complex<f32>>, M3xuError> {
-    context::default_context().try_herk_c32(tri, op_a, a, alpha, beta, c)
-}
-
-/// HERK. Panics on shape mismatch; see [`try_herk_c32`].
-pub fn herk_c32(
-    tri: Triangle,
-    op_a: MatOp,
-    a: &Matrix<Complex<f32>>,
-    alpha: f32,
-    beta: f32,
-    c: &Matrix<Complex<f32>>,
-) -> GemmResult<Complex<f32>> {
-    try_herk_c32(tri, op_a, a, alpha, beta, c).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible SYMM on the default context.
-#[allow(clippy::too_many_arguments)]
-pub fn try_symm_f32(
-    precision: GemmPrecision,
-    side: Side,
-    tri: Triangle,
-    a: &Matrix<f32>,
-    b: &Matrix<f32>,
-    alpha: f32,
-    beta: f32,
-    c: &Matrix<f32>,
-) -> Result<GemmResult<f32>, M3xuError> {
-    context::default_context().try_symm_f32(precision, side, tri, a, b, alpha, beta, c)
-}
-
-/// SYMM. Panics on shape/precision mismatch; see [`try_symm_f32`].
-#[allow(clippy::too_many_arguments)]
-pub fn symm_f32(
-    precision: GemmPrecision,
-    side: Side,
-    tri: Triangle,
-    a: &Matrix<f32>,
-    b: &Matrix<f32>,
-    alpha: f32,
-    beta: f32,
-    c: &Matrix<f32>,
-) -> GemmResult<f32> {
-    try_symm_f32(precision, side, tri, a, b, alpha, beta, c).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible HEMM on the default context.
-#[allow(clippy::too_many_arguments)]
-pub fn try_hemm_c32(
-    side: Side,
-    tri: Triangle,
-    a: &Matrix<Complex<f32>>,
-    b: &Matrix<Complex<f32>>,
-    alpha: Complex<f32>,
-    beta: Complex<f32>,
-    c: &Matrix<Complex<f32>>,
-) -> Result<GemmResult<Complex<f32>>, M3xuError> {
-    context::default_context().try_hemm_c32(side, tri, a, b, alpha, beta, c)
-}
-
-/// HEMM. Panics on shape mismatch; see [`try_hemm_c32`].
-#[allow(clippy::too_many_arguments)]
-pub fn hemm_c32(
-    side: Side,
-    tri: Triangle,
-    a: &Matrix<Complex<f32>>,
-    b: &Matrix<Complex<f32>>,
-    alpha: Complex<f32>,
-    beta: Complex<f32>,
-    c: &Matrix<Complex<f32>>,
-) -> GemmResult<Complex<f32>> {
-    try_hemm_c32(side, tri, a, b, alpha, beta, c).unwrap_or_else(|e| panic!("{e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::default_context;
     use crate::gemm::{try_cgemm_c32, try_gemm_f32, try_gemm_f64 as plain_gemm_f64};
+
+    /// `call` on the process-wide default context.
+    fn exec<M: Operand>(call: Blas3Call<M>) -> Result<GemmResult<M::Elem>, M3xuError> {
+        Ok(default_context().run(&call)?.0)
+    }
 
     type C32 = Complex<f32>;
 
@@ -1504,7 +1519,10 @@ mod tests {
                 continue;
             }
             let plain = try_gemm_f32(p, &a, &b, &c).unwrap();
-            let op = try_gemm_op_f32(p, MatOp::N, &a, MatOp::N, &b, 1.0, 1.0, &c).unwrap();
+            let op = exec(
+                Blas3Call::gemm_op(MatOp::N, &a, MatOp::N, &b, 1.0, 1.0, &c).with_precision(p),
+            )
+            .unwrap();
             assert_eq!(bits_f32(&plain.d), bits_f32(&op.d), "{p:?}");
             assert_eq!(plain.stats, op.stats, "{p:?}");
         }
@@ -1512,7 +1530,16 @@ mod tests {
         let bc = Matrix::random_c32(k, n, 5);
         let cc = Matrix::random_c32(m, n, 6);
         let plain = try_cgemm_c32(&ac, &bc, &cc).unwrap();
-        let op = try_cgemm_op_c32(MatOp::N, &ac, MatOp::N, &bc, C32::ONE, C32::ONE, &cc).unwrap();
+        let op = exec(Blas3Call::gemm_op(
+            MatOp::N,
+            &ac,
+            MatOp::N,
+            &bc,
+            C32::ONE,
+            C32::ONE,
+            &cc,
+        ))
+        .unwrap();
         assert_eq!(bits_c32(&plain.d), bits_c32(&op.d));
         assert_eq!(plain.stats, op.stats);
 
@@ -1520,7 +1547,16 @@ mod tests {
         let bd = Matrix::random_f64(k, n, 8);
         let cd = Matrix::random_f64(m, n, 9);
         let plain = plain_gemm_f64(GemmPrecision::Fp64Emulated, &ad, &bd, &cd).unwrap();
-        let op = try_gemm_op_f64(MatOp::N, &ad, MatOp::N, &bd, 1.0, 1.0, &cd).unwrap();
+        let op = exec(Blas3Call::gemm_op(
+            MatOp::N,
+            &ad,
+            MatOp::N,
+            &bd,
+            1.0,
+            1.0,
+            &cd,
+        ))
+        .unwrap();
         for i in 0..m {
             for j in 0..n {
                 assert_eq!(plain.d.get(i, j).to_bits(), op.d.get(i, j).to_bits());
@@ -1536,15 +1572,9 @@ mod tests {
         let at = Matrix::<f32>::random(k, m, 11);
         let bt = Matrix::<f32>::random(n, k, 12);
         let c = Matrix::<f32>::random(m, n, 13);
-        let via_view = try_gemm_op_f32(
-            GemmPrecision::M3xuFp32,
-            MatOp::T,
-            &at,
-            MatOp::T,
-            &bt,
-            1.0,
-            1.0,
-            &c,
+        let via_view = exec(
+            Blas3Call::gemm_op(MatOp::T, &at, MatOp::T, &bt, 1.0, 1.0, &c)
+                .with_precision(GemmPrecision::M3xuFp32),
         )
         .unwrap();
         let am = OpView::new(&at, MatOp::T).materialize();
@@ -1556,8 +1586,16 @@ mod tests {
         let ah = Matrix::random_c32(k, m, 14);
         let bh = Matrix::random_c32(n, k, 15);
         let cc = Matrix::random_c32(m, n, 16);
-        let via_view =
-            try_cgemm_op_c32(MatOp::H, &ah, MatOp::H, &bh, C32::ONE, C32::ONE, &cc).unwrap();
+        let via_view = exec(Blas3Call::gemm_op(
+            MatOp::H,
+            &ah,
+            MatOp::H,
+            &bh,
+            C32::ONE,
+            C32::ONE,
+            &cc,
+        ))
+        .unwrap();
         let am = OpView::new(&ah, MatOp::H).materialize();
         let bm = OpView::new(&bh, MatOp::H).materialize();
         let via_copy = try_cgemm_c32(&am, &bm, &cc).unwrap();
@@ -1571,15 +1609,9 @@ mod tests {
         let b = Matrix::<f32>::random(k, n, 22);
         let c = Matrix::<f32>::random(m, n, 23);
         for (alpha, beta) in [(0.5f32, -1.0f32), (-1.0, 0.5), (0.0, 2.0), (2.0, 0.0)] {
-            let folded = try_gemm_op_f32(
-                GemmPrecision::M3xuFp32,
-                MatOp::N,
-                &a,
-                MatOp::N,
-                &b,
-                alpha,
-                beta,
-                &c,
+            let folded = exec(
+                Blas3Call::gemm_op(MatOp::N, &a, MatOp::N, &b, alpha, beta, &c)
+                    .with_precision(GemmPrecision::M3xuFp32),
             )
             .unwrap();
             let am = Matrix::from_fn(m, k, |i, j| alpha * a.get(i, j));
@@ -1599,15 +1631,9 @@ mod tests {
         let a = Matrix::<f32>::random(m, k, 31);
         let b = Matrix::<f32>::random(k, n, 32);
         let poison = Matrix::from_fn(m, n, |_, _| f32::NAN);
-        let r = try_gemm_op_f32(
-            GemmPrecision::M3xuFp32,
-            MatOp::N,
-            &a,
-            MatOp::N,
-            &b,
-            1.0,
-            0.0,
-            &poison,
+        let r = exec(
+            Blas3Call::gemm_op(MatOp::N, &a, MatOp::N, &b, 1.0, 0.0, &poison)
+                .with_precision(GemmPrecision::M3xuFp32),
         )
         .unwrap();
         let zero = Matrix::zeros(m, n);
@@ -1666,7 +1692,15 @@ mod tests {
         let (n, k) = (19, 7);
         let a = Matrix::random_c32(n, k, 51);
         let canary = Matrix::from_fn(n, n, |i, j| C32::new(i as f32, j as f32 + 0.25));
-        let r = try_herk_c32(Triangle::Upper, MatOp::N, &a, 0.75, -0.5, &canary).unwrap();
+        let r = exec(Blas3Call::herk(
+            Triangle::Upper,
+            MatOp::N,
+            &a,
+            0.75,
+            -0.5,
+            &canary,
+        ))
+        .unwrap();
         for i in 0..n {
             assert_eq!(r.d.get(i, i).im.to_bits(), 0.0f32.to_bits(), "diag {i}");
             for j in 0..n {
@@ -1679,7 +1713,14 @@ mod tests {
         }
         // op = T is meaningless for a Hermitian update.
         assert!(matches!(
-            try_herk_c32(Triangle::Upper, MatOp::T, &a, 1.0, 1.0, &canary),
+            exec(Blas3Call::herk(
+                Triangle::Upper,
+                MatOp::T,
+                &a,
+                1.0,
+                1.0,
+                &canary
+            )),
             Err(M3xuError::ModeMismatch { .. })
         ));
     }
@@ -1690,27 +1731,15 @@ mod tests {
         let a = Matrix::<f32>::random(n, n, 61);
         let b = Matrix::<f32>::random(n, m, 62);
         let c = Matrix::<f32>::random(n, m, 63);
-        let via_mirror = try_symm_f32(
-            GemmPrecision::M3xuFp32,
-            Side::Left,
-            Triangle::Lower,
-            &a,
-            &b,
-            0.5,
-            2.0,
-            &c,
+        let via_mirror = exec(
+            Blas3Call::symm(Side::Left, Triangle::Lower, &a, &b, 0.5, 2.0, &c)
+                .with_precision(GemmPrecision::M3xuFp32),
         )
         .unwrap();
         let sym = MirrorView::new(&a, Triangle::Lower, false).materialize();
-        let want = try_gemm_op_f32(
-            GemmPrecision::M3xuFp32,
-            MatOp::N,
-            &sym,
-            MatOp::N,
-            &b,
-            0.5,
-            2.0,
-            &c,
+        let want = exec(
+            Blas3Call::gemm_op(MatOp::N, &sym, MatOp::N, &b, 0.5, 2.0, &c)
+                .with_precision(GemmPrecision::M3xuFp32),
         )
         .unwrap();
         assert_eq!(bits_f32(&via_mirror.d), bits_f32(&want.d));
@@ -1721,10 +1750,27 @@ mod tests {
         let ch = Matrix::random_c32(m, n, 66);
         let alpha = C32::new(0.5, -0.25);
         let beta = C32::new(-1.0, 0.0);
-        let via_mirror =
-            try_hemm_c32(Side::Right, Triangle::Upper, &ah, &bh, alpha, beta, &ch).unwrap();
+        let via_mirror = exec(Blas3Call::hemm(
+            Side::Right,
+            Triangle::Upper,
+            &ah,
+            &bh,
+            alpha,
+            beta,
+            &ch,
+        ))
+        .unwrap();
         let herm = MirrorView::new(&ah, Triangle::Upper, true).materialize();
-        let want = try_cgemm_op_c32(MatOp::N, &bh, MatOp::N, &herm, alpha, beta, &ch).unwrap();
+        let want = exec(Blas3Call::gemm_op(
+            MatOp::N,
+            &bh,
+            MatOp::N,
+            &herm,
+            alpha,
+            beta,
+            &ch,
+        ))
+        .unwrap();
         assert_eq!(bits_c32(&via_mirror.d), bits_c32(&want.d));
     }
 
@@ -1734,41 +1780,24 @@ mod tests {
         let b = Matrix::<f32>::random(5, 3, 72);
         let c = Matrix::<f32>::random(4, 3, 73);
         assert!(matches!(
-            try_gemm_op_f32(
-                GemmPrecision::M3xuFp32,
-                MatOp::N,
-                &a,
-                MatOp::N,
-                &b,
-                1.0,
-                1.0,
-                &c
+            exec(
+                Blas3Call::gemm_op(MatOp::N, &a, MatOp::N, &b, 1.0, 1.0, &c)
+                    .with_precision(GemmPrecision::M3xuFp32)
             ),
             Err(M3xuError::ShapeMismatch { .. })
         ));
         // Transposing B fixes the inner dimension but breaks C's width.
         assert!(matches!(
-            try_gemm_op_f32(
-                GemmPrecision::M3xuFp32,
-                MatOp::N,
-                &a,
-                MatOp::T,
-                &b,
-                1.0,
-                1.0,
-                &c
+            exec(
+                Blas3Call::gemm_op(MatOp::N, &a, MatOp::T, &b, 1.0, 1.0, &c)
+                    .with_precision(GemmPrecision::M3xuFp32)
             ),
             Err(M3xuError::ShapeMismatch { .. })
         ));
         assert!(matches!(
-            try_syrk_f32(
-                GemmPrecision::Fp64Emulated,
-                Triangle::Lower,
-                MatOp::N,
-                &a,
-                1.0,
-                1.0,
-                &c
+            exec(
+                Blas3Call::syrk(Triangle::Lower, MatOp::N, &a, 1.0, 1.0, &c)
+                    .with_precision(GemmPrecision::Fp64Emulated)
             ),
             Err(M3xuError::ModeMismatch { .. })
         ));
@@ -1776,15 +1805,9 @@ mod tests {
         let b2 = Matrix::<f32>::random(5, 3, 75);
         let c2 = Matrix::<f32>::random(4, 3, 76);
         assert!(matches!(
-            try_symm_f32(
-                GemmPrecision::M3xuFp32,
-                Side::Left,
-                Triangle::Lower,
-                &nsq,
-                &b2,
-                1.0,
-                1.0,
-                &c2
+            exec(
+                Blas3Call::symm(Side::Left, Triangle::Lower, &nsq, &b2, 1.0, 1.0, &c2)
+                    .with_precision(GemmPrecision::M3xuFp32)
             ),
             Err(M3xuError::ShapeMismatch { .. })
         ));

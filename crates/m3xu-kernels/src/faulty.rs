@@ -23,8 +23,9 @@
 //!   (The expected checksums read the packed buffer entries, so
 //!   quantisation happens on both sides of the comparison.)
 
+use crate::blas3::{self, Blas3Call, Operand};
 use crate::context::{GemmExecutor, M3xuContext};
-use crate::gemm::{self, GemmPrecision, GemmResult};
+use crate::gemm::{GemmPrecision, GemmResult};
 use m3xu_fp::complex::Complex;
 use m3xu_mxu::error::M3xuError;
 use m3xu_mxu::fault::{FaultPlan, FaultSummary};
@@ -68,40 +69,15 @@ impl<'c> FaultyExecutor<'c> {
         self.plan.as_ref()
     }
 
-    /// Real GEMM with this executor's fault policy, returning the
-    /// invocation's [`FaultSummary`] (zero when unarmed).
-    pub fn try_gemm_f32_faulted(
+    /// Execute one BLAS-3 call with this executor's fault policy — the
+    /// executor's own plan through the same seam as
+    /// [`M3xuContext::run`] — returning the invocation's
+    /// [`FaultSummary`] (zero when unarmed).
+    pub fn run<M: Operand>(
         &self,
-        precision: GemmPrecision,
-        a: &Matrix<f32>,
-        b: &Matrix<f32>,
-        c: &Matrix<f32>,
-    ) -> Result<(GemmResult<f32>, FaultSummary), M3xuError> {
-        self.own(gemm::try_gemm_f32_faulted_ctx(
-            self.ctx,
-            self.plan.as_deref(),
-            precision,
-            a,
-            b,
-            c,
-        ))
-    }
-
-    /// Complex GEMM with this executor's fault policy; see
-    /// [`FaultyExecutor::try_gemm_f32_faulted`].
-    pub fn try_cgemm_c32_faulted(
-        &self,
-        a: &Matrix<C32>,
-        b: &Matrix<C32>,
-        c: &Matrix<C32>,
-    ) -> Result<(GemmResult<C32>, FaultSummary), M3xuError> {
-        self.own(gemm::try_cgemm_c32_faulted_ctx(
-            self.ctx,
-            self.plan.as_deref(),
-            a,
-            b,
-            c,
-        ))
+        call: &Blas3Call<M>,
+    ) -> Result<(GemmResult<M::Elem>, FaultSummary), M3xuError> {
+        self.own(blas3::run_on(self.ctx, self.plan.as_deref(), call))
     }
 
     /// Report only this executor's own plan: an unarmed executor's
@@ -124,8 +100,9 @@ impl GemmExecutor for FaultyExecutor<'_> {
         b: &Matrix<f32>,
         c: &Matrix<f32>,
     ) -> Result<GemmResult<f32>, M3xuError> {
-        self.try_gemm_f32_faulted(precision, a, b, c)
-            .map(|(r, _)| r)
+        Ok(self
+            .run(&Blas3Call::gemm(a, b, c).with_precision(precision))?
+            .0)
     }
 
     fn try_cgemm_c32(
@@ -134,7 +111,7 @@ impl GemmExecutor for FaultyExecutor<'_> {
         b: &Matrix<C32>,
         c: &Matrix<C32>,
     ) -> Result<GemmResult<C32>, M3xuError> {
-        self.try_cgemm_c32_faulted(a, b, c).map(|(r, _)| r)
+        Ok(self.run(&Blas3Call::gemm(a, b, c))?.0)
     }
 }
 
@@ -142,6 +119,7 @@ impl GemmExecutor for FaultyExecutor<'_> {
 mod tests {
     use super::*;
     use crate::context::M3xuContext;
+    use crate::gemm;
 
     #[test]
     fn unarmed_executor_is_pure_delegation() {
@@ -168,9 +146,7 @@ mod tests {
         let a = Matrix::<f32>::random(33, 17, 31);
         let b = Matrix::<f32>::random(17, 29, 32);
         let c = Matrix::<f32>::random(33, 29, 33);
-        let (r, summary) = exec
-            .try_gemm_f32_faulted(GemmPrecision::M3xuFp32, &a, &b, &c)
-            .unwrap();
+        let (r, summary) = exec.run(&Blas3Call::gemm(&a, &b, &c)).unwrap();
         let oracle = gemm::baseline::gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
         for (x, y) in r.d.as_slice().iter().zip(oracle.d.as_slice()) {
             assert_eq!(x.to_bits(), y.to_bits());

@@ -2,26 +2,24 @@
 //!
 //! Real, complex, and emulated-FP64 GEMM share one generic driver —
 //! exactly the paper's point that "the programming model … remain\[s\]
-//! the same as the existing Tensor Cores". Every entry point here is the
-//! instance `op = N`, `alpha = beta = 1`, full output region of the
-//! packed BLAS-3 driver in [`crate::blas3`]: operands decode into
-//! [`PackedOperand`](m3xu_mxu::packed::PackedOperand) planes once per
-//! call, fragments execute in place out of those planes, and the output
-//! tiles distribute over the persistent [`WorkerPool`]. An armed
-//! [`FaultPlan`] runs the same pipeline — the same panel kernels, which
-//! then also emit each chunk's computed checksum — with per-chunk ABFT
-//! verification.
+//! the same as the existing Tensor Cores". Every entry point here runs
+//! [`Blas3Call::gemm`](crate::blas3::Blas3Call::gemm) — op-GEMM at
+//! `op = N`, `alpha = beta = 1` — on the process-wide default context:
+//! operands decode into [`PackedOperand`](m3xu_mxu::packed::PackedOperand)
+//! planes once per call, fragments execute in place out of those planes,
+//! and the output tiles distribute over the persistent
+//! [`WorkerPool`](crate::pool::WorkerPool). An armed
+//! [`FaultPlan`](m3xu_mxu::fault::FaultPlan) runs the same pipeline — the
+//! same panel kernels, which then also emit each chunk's computed
+//! checksum — with per-chunk ABFT verification.
 //!
 //! The original per-tile path is kept alive in [`baseline`] as the
 //! differential-test and benchmark reference; the packed driver is
 //! bit-identical to it.
 
-use crate::blas3::{self, PackedCall};
-use crate::context::{self, M3xuContext};
-use crate::pool::WorkerPool;
+use crate::context;
 use m3xu_fp::complex::Complex;
 use m3xu_mxu::error::M3xuError;
-use m3xu_mxu::fault::{FaultPlan, FaultSummary};
 use m3xu_mxu::matrix::{MatSource, Matrix};
 use m3xu_mxu::mma::MmaStats;
 use m3xu_mxu::modes::MxuMode;
@@ -145,93 +143,6 @@ pub fn workers() -> usize {
     context::default_context().threads()
 }
 
-/// Context-attached real GEMM with the invocation's [`FaultSummary`]: the
-/// body of [`M3xuContext::try_gemm_f32_faulted`] and of an armed
-/// [`FaultyExecutor`](crate::faulty::FaultyExecutor), which passes its
-/// own `plan`. Every f32 precision is checkable under a plan: the
-/// expected checksums read the packed buffer entries, so quantising
-/// narrow engines (FP16/BF16/TF32) and the truncated fast schedule verify
-/// exactly alongside true FP32.
-pub(crate) fn try_gemm_f32_faulted_ctx(
-    ctx: &M3xuContext,
-    plan: Option<&FaultPlan>,
-    precision: GemmPrecision,
-    a: &Matrix<f32>,
-    b: &Matrix<f32>,
-    c: &Matrix<f32>,
-) -> Result<(GemmResult<f32>, FaultSummary), M3xuError> {
-    check_precision(precision, true, "gemm_f32")?;
-    blas3::run_on(
-        ctx,
-        plan,
-        PackedCall::gemm("gemm", precision.mode(), a, b, c),
-    )
-}
-
-/// Context-attached FP32C GEMM with the invocation's [`FaultSummary`];
-/// see [`try_gemm_f32_faulted_ctx`].
-pub(crate) fn try_cgemm_c32_faulted_ctx(
-    ctx: &M3xuContext,
-    plan: Option<&FaultPlan>,
-    a: &Matrix<Complex<f32>>,
-    b: &Matrix<Complex<f32>>,
-    c: &Matrix<Complex<f32>>,
-) -> Result<(GemmResult<Complex<f32>>, FaultSummary), M3xuError> {
-    blas3::run_on(
-        ctx,
-        plan,
-        PackedCall::gemm("cgemm", MxuMode::M3xuFp32c, a, b, c),
-    )
-}
-
-/// Context-attached emulated-FP64 GEMM with the invocation's
-/// [`FaultSummary`]. The residue homomorphism extends to every f64
-/// dyadic rational, so a checked run's expected side reads the five
-/// packed mantissa slices directly.
-pub(crate) fn try_gemm_f64_faulted_ctx(
-    ctx: &M3xuContext,
-    precision: GemmPrecision,
-    a: &Matrix<f64>,
-    b: &Matrix<f64>,
-    c: &Matrix<f64>,
-) -> Result<(GemmResult<f64>, FaultSummary), M3xuError> {
-    check_precision(precision, false, "gemm_f64")?;
-    blas3::run_on(
-        ctx,
-        None,
-        PackedCall::gemm("gemm_f64", precision.mode(), a, b, c),
-    )
-}
-
-/// Fallible tiled FP32 GEMM `D = A·B + C` on an explicit worker pool —
-/// the entry point for determinism tests and embedders that manage their
-/// own pools. Returns [`M3xuError::ShapeMismatch`] on inconsistent
-/// operands instead of panicking.
-pub fn try_gemm_f32_on(
-    pool: &WorkerPool,
-    precision: GemmPrecision,
-    a: &Matrix<f32>,
-    b: &Matrix<f32>,
-    c: &Matrix<f32>,
-) -> Result<GemmResult<f32>, M3xuError> {
-    check_precision(precision, true, "gemm_f32")?;
-    let call = PackedCall::gemm("gemm", precision.mode(), a, b, c);
-    Ok(blas3::run(pool, None, None, call)?.0)
-}
-
-/// Tiled FP32 GEMM `D = A·B + C` on the M3XU (or a baseline mode), using
-/// an explicit worker pool. Panics on shape mismatch; see
-/// [`try_gemm_f32_on`] for the fallible form.
-pub fn gemm_f32_on(
-    pool: &WorkerPool,
-    precision: GemmPrecision,
-    a: &Matrix<f32>,
-    b: &Matrix<f32>,
-    c: &Matrix<f32>,
-) -> GemmResult<f32> {
-    try_gemm_f32_on(pool, precision, a, b, c).unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// Fallible tiled FP32 GEMM `D = A·B + C` on the process-wide default
 /// context (the call is recorded into its
 /// [`ExecStats`](crate::context::ExecStats) counters).
@@ -257,30 +168,6 @@ pub fn gemm_f32(
     c: &Matrix<f32>,
 ) -> GemmResult<f32> {
     try_gemm_f32(precision, a, b, c).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible tiled FP32C GEMM on the M3XU's four-step complex mode, using
-/// an explicit worker pool.
-pub fn try_cgemm_c32_on(
-    pool: &WorkerPool,
-    a: &Matrix<Complex<f32>>,
-    b: &Matrix<Complex<f32>>,
-    c: &Matrix<Complex<f32>>,
-) -> Result<GemmResult<Complex<f32>>, M3xuError> {
-    let call = PackedCall::gemm("cgemm", MxuMode::M3xuFp32c, a, b, c);
-    Ok(blas3::run(pool, None, None, call)?.0)
-}
-
-/// Tiled FP32C GEMM on the M3XU's four-step complex mode, using an
-/// explicit worker pool. Panics on shape mismatch; see
-/// [`try_cgemm_c32_on`] for the fallible form.
-pub fn cgemm_c32_on(
-    pool: &WorkerPool,
-    a: &Matrix<Complex<f32>>,
-    b: &Matrix<Complex<f32>>,
-    c: &Matrix<Complex<f32>>,
-) -> GemmResult<Complex<f32>> {
-    try_cgemm_c32_on(pool, a, b, c).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Fallible tiled FP32C GEMM on the process-wide default context (the
@@ -318,35 +205,6 @@ pub fn try_matmul_f32(
 /// [`try_matmul_f32`] for the fallible form.
 pub fn matmul_f32(precision: GemmPrecision, a: &Matrix<f32>, b: &Matrix<f32>) -> Matrix<f32> {
     try_matmul_f32(precision, a, b).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible tiled emulated-FP64 GEMM `D = A·B + C` on an explicit worker
-/// pool. Only [`GemmPrecision::Fp64Emulated`] is accepted — every other
-/// precision returns [`M3xuError::ModeMismatch`] (the `f64` operands have
-/// no decode path on the f32 engines).
-pub fn try_gemm_f64_on(
-    pool: &WorkerPool,
-    precision: GemmPrecision,
-    a: &Matrix<f64>,
-    b: &Matrix<f64>,
-    c: &Matrix<f64>,
-) -> Result<GemmResult<f64>, M3xuError> {
-    check_precision(precision, false, "gemm_f64")?;
-    let call = PackedCall::gemm("gemm_f64", precision.mode(), a, b, c);
-    Ok(blas3::run(pool, None, None, call)?.0)
-}
-
-/// Tiled emulated-FP64 GEMM `D = A·B + C` using an explicit worker pool.
-/// Panics on shape or precision mismatch; see [`try_gemm_f64_on`] for the
-/// fallible form.
-pub fn gemm_f64_on(
-    pool: &WorkerPool,
-    precision: GemmPrecision,
-    a: &Matrix<f64>,
-    b: &Matrix<f64>,
-    c: &Matrix<f64>,
-) -> GemmResult<f64> {
-    try_gemm_f64_on(pool, precision, a, b, c).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Fallible tiled emulated-FP64 GEMM `D = A·B + C` on the process-wide
@@ -530,7 +388,10 @@ pub mod baseline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blas3::{self, Blas3Call};
+    use crate::pool::WorkerPool;
     use m3xu_fp::ulp::ErrorStats;
+    use m3xu_mxu::fault::{FaultPlan, FaultSummary};
 
     /// Per-fragment exact-accumulation reference with the same K-chunking
     /// order as the driver (round once per fragment).
@@ -678,7 +539,8 @@ mod tests {
         let a = Matrix::<f64>::random_f64(64, 64, 41);
         let b = Matrix::<f64>::random_f64(64, 64, 42);
         let c = Matrix::<f64>::zeros(64, 64);
-        ctx.gemm_f64(GemmPrecision::Fp64Emulated, &a, &b, &c);
+        ctx.try_gemm_f64(GemmPrecision::Fp64Emulated, &a, &b, &c)
+            .unwrap();
         let stats = ctx.stats();
         let per = stats.mode(MxuMode::M3xuFp64Emu);
         // 8x8 tiles, frag_k = 1: (64/8) * (64/8) * 64 fragments.
@@ -919,8 +781,10 @@ mod tests {
         let mut cplx: Vec<Matrix<Complex<f32>>> = Vec::new();
         for threads in [1, 2, 8] {
             let pool = WorkerPool::new(threads);
-            real.push(gemm_f32_on(&pool, GemmPrecision::M3xuFp32, &a, &b, &c).d);
-            cplx.push(cgemm_c32_on(&pool, &ca, &cb, &cc).d);
+            let call = Blas3Call::gemm(&a, &b, &c);
+            real.push(blas3::run(&pool, None, None, &call).unwrap().0.d);
+            let call = Blas3Call::gemm(&ca, &cb, &cc);
+            cplx.push(blas3::run(&pool, None, None, &call).unwrap().0.d);
         }
         for r in &real[1..] {
             assert_bits_f32(r, &real[0], "pool-size determinism (real)");
@@ -948,13 +812,7 @@ mod tests {
         let a = Matrix::<f32>::random(23, 11, 40);
         let b = Matrix::<f32>::random(11, 19, 41);
         let c = Matrix::<f32>::random(23, 19, 42);
-        let (r, s) = blas3::run(
-            &pool,
-            None,
-            Some(&plan),
-            PackedCall::gemm("gemm", MxuMode::M3xuFp32, &a, &b, &c),
-        )
-        .unwrap();
+        let (r, s) = blas3::run(&pool, None, Some(&plan), &Blas3Call::gemm(&a, &b, &c)).unwrap();
         let oracle = baseline::gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
         assert_bits_f32(&r.d, &oracle.d, "abft zero-rate");
         assert_eq!(r.stats, oracle.stats);
@@ -971,13 +829,8 @@ mod tests {
         let mut saw_faults = false;
         for seed in 0..8u64 {
             let plan = FaultPlan::new(seed, 0.05);
-            let (r, s) = blas3::run(
-                &pool,
-                None,
-                Some(&plan),
-                PackedCall::gemm("gemm", MxuMode::M3xuFp32, &a, &b, &c),
-            )
-            .unwrap();
+            let (r, s) =
+                blas3::run(&pool, None, Some(&plan), &Blas3Call::gemm(&a, &b, &c)).unwrap();
             assert_bits_f32(&r.d, &oracle.d, &format!("abft recovery seed {seed}"));
             assert_eq!(s.detected, s.corrected, "seed {seed}: {s:?}");
             saw_faults |= s.detected > 0;
@@ -993,13 +846,7 @@ mod tests {
         let c = Matrix::random_c32(17, 13, 62);
         let oracle = baseline::cgemm_c32(&a, &b, &c);
         let plan = FaultPlan::new(3, 0.05);
-        let (r, s) = blas3::run(
-            &pool,
-            None,
-            Some(&plan),
-            PackedCall::gemm("cgemm", MxuMode::M3xuFp32c, &a, &b, &c),
-        )
-        .unwrap();
+        let (r, s) = blas3::run(&pool, None, Some(&plan), &Blas3Call::gemm(&a, &b, &c)).unwrap();
         assert_bits_c32(&r.d, &oracle.d, "abft complex recovery");
         assert_eq!(s.detected, s.corrected);
     }
@@ -1011,12 +858,7 @@ mod tests {
         let a = Matrix::<f32>::random(16, 8, 70);
         let b = Matrix::<f32>::random(8, 16, 71);
         let c = Matrix::<f32>::zeros(16, 16);
-        match blas3::run(
-            &pool,
-            None,
-            Some(&plan),
-            PackedCall::gemm("gemm", MxuMode::M3xuFp32, &a, &b, &c),
-        ) {
+        match blas3::run(&pool, None, Some(&plan), &Blas3Call::gemm(&a, &b, &c)) {
             Err(M3xuError::FaultDetected {
                 op,
                 mode,
@@ -1034,7 +876,9 @@ mod tests {
             other => panic!("expected FaultDetected, got {other:?}"),
         }
         // The pool (and its supervisor) must stay usable afterwards.
-        let clean = gemm_f32_on(&pool, GemmPrecision::M3xuFp32, &a, &b, &c);
+        let clean = blas3::run(&pool, None, None, &Blas3Call::gemm(&a, &b, &c))
+            .unwrap()
+            .0;
         let oracle = baseline::gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
         assert_bits_f32(&clean.d, &oracle.d, "pool reuse after rate-1.0 abft");
     }
@@ -1052,13 +896,7 @@ mod tests {
         let c = Matrix::<f32>::random(19, 11, 82);
         let oracle = baseline::gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
         let plan = FaultPlan::new(4, 0.2);
-        let (r, _) = blas3::run(
-            &pool,
-            None,
-            Some(&plan),
-            PackedCall::gemm("gemm", MxuMode::M3xuFp32, &a, &b, &c),
-        )
-        .unwrap();
+        let (r, _) = blas3::run(&pool, None, Some(&plan), &Blas3Call::gemm(&a, &b, &c)).unwrap();
         assert_bits_f32(&r.d, &oracle.d, "abft specials");
     }
 }

@@ -4,9 +4,9 @@
 //!
 //! * [`gemm`] — CUTLASS-style tiled FP32 GEMM / FP32C CGEMM drivers over
 //!   the functional M3XU, parallelised across output tiles;
-//! * [`blas3`] — the full BLAS-3 surface on the same packed pipeline:
-//!   `op(X)` operands, alpha/beta accumulate, SYMM/HEMM, and
-//!   triangular-scheduled SYRK/HERK;
+//! * [`blas3`] — the full BLAS-3 surface on the same packed pipeline,
+//!   one [`Blas3Call`] descriptor per call: `op(X)` operands, alpha/beta
+//!   accumulate, SYMM/HEMM, and triangular-scheduled SYRK/HERK;
 //! * [`conv2d`] — im2col convolution (the Fig. 7 CNNs' compute core);
 //! * [`fft`] — reference DFT, radix-2 FFT, the tcFFT-style GEMM
 //!   formulation on FP32C, and the Fig. 6 performance model;
@@ -52,17 +52,12 @@ pub mod pool;
 pub mod quantum;
 pub mod solver;
 
-pub use blas3::{
-    cgemm_op_c32, gemm_op_f32, gemm_op_f64, hemm_c32, herk_c32, symm_f32, syrk_f32,
-    try_cgemm_op_c32, try_gemm_op_f32, try_gemm_op_f64, try_hemm_c32, try_herk_c32, try_symm_f32,
-    try_syrk_f32, Side,
-};
+pub use blas3::{Blas3Call, Blas3Elem, Operand, Side};
 pub use context::{default_context, ClosureExecutor, ExecStats, GemmExecutor, M3xuContext};
 pub use faulty::FaultyExecutor;
 pub use gemm::{
-    cgemm_c32, cgemm_c32_on, cmatmul_c32, gemm_f32, gemm_f32_on, matmul_f32, try_cgemm_c32,
-    try_cgemm_c32_on, try_cmatmul_c32, try_gemm_f32, try_gemm_f32_on, try_matmul_f32,
-    GemmPrecision, GemmResult,
+    cgemm_c32, cmatmul_c32, gemm_f32, matmul_f32, try_cgemm_c32, try_cmatmul_c32, try_gemm_f32,
+    try_matmul_f32, GemmPrecision, GemmResult,
 };
 pub use m3xu_mxu::error::M3xuError;
 pub use m3xu_mxu::fault::{FaultPlan, FaultSummary};

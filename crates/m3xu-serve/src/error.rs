@@ -17,7 +17,7 @@ use std::fmt;
 pub enum ServeError {
     /// The bounded submission queue was full and the request was not
     /// enqueued. Backpressure, not failure: retry, shed, or switch to the
-    /// blocking `submit_*` forms.
+    /// blocking [`M3xuServe::submit`](crate::M3xuServe::submit).
     QueueFull {
         /// The queue's configured capacity at rejection time.
         capacity: usize,

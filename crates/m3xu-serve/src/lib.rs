@@ -6,9 +6,12 @@
 //! (worker pool + counter sink), a bounded priority queue, and a
 //! scheduler thread — plus tenant-affine routing between them:
 //!
-//! * **admission** — [`M3xuServe::try_submit_gemm_f32`] and friends
-//!   reject with typed [`ServeError::QueueFull`] when the routed shard's
-//!   queue is at capacity; the `submit_*` forms block for space instead.
+//! * **admission** — every GEMM-family operation is one [`Blas3Call`]
+//!   descriptor with owned operands. [`M3xuServe::try_submit`] rejects
+//!   it with typed [`ServeError::QueueFull`] when the routed shard's
+//!   queue is at capacity; [`M3xuServe::submit`] blocks for space
+//!   instead (FFTs: [`M3xuServe::try_submit_fft`] /
+//!   [`M3xuServe::submit_fft`]).
 //!   Admission layers three sheds: a per-tenant circuit breaker
 //!   ([`ServeError::BreakerOpen`]), a per-tenant token-bucket
 //!   [`RateLimit`] ([`ServeError::RateLimited`]), and queue
@@ -34,12 +37,13 @@
 //!   served results are **bit-identical** to unserved ones — a property
 //!   the workspace's differential tests assert.
 //! * **precision dial** — every GEMM request carries a
-//!   [`GemmPrecision`], either positionally or per-request via
+//!   [`GemmPrecision`], either on its call
+//!   ([`Blas3Call::with_precision`]) or per-request via
 //!   [`SubmitOpts::precision`], spanning the whole emulated family from
 //!   `Fp16` through the truncated `Fp32Fast` schedule up to
 //!   `Fp64Emulated` (5-slice Ozaki FP64 on the same low-precision MXU).
-//!   The `*_gemm_f64` submission family serves emulated-FP64 problems
-//!   through the same queues, batching, and stealing as everything else.
+//!   `f64` calls serve emulated-FP64 problems through the same queues,
+//!   batching, and stealing as everything else.
 //! * **accounting** — every outcome is recorded into the submitting
 //!   tenant's [`TenantStats`]: request counts by disposition, MMA
 //!   instructions and steps, rule-(c) operand bytes, queue wait,
@@ -72,7 +76,7 @@
 //!   breaker.
 //!
 //! ```
-//! use m3xu_serve::{M3xuServe, ServeConfig, SubmitOpts};
+//! use m3xu_serve::{Blas3Call, M3xuServe, ServeConfig, SubmitOpts};
 //! use m3xu_kernels::gemm::GemmPrecision;
 //! use m3xu_mxu::matrix::Matrix;
 //!
@@ -80,9 +84,8 @@
 //! let a = Matrix::<f32>::random(32, 32, 1);
 //! let b = Matrix::<f32>::random(32, 32, 2);
 //! let c = Matrix::<f32>::zeros(32, 32);
-//! let ticket = serve
-//!     .try_submit_gemm_f32("alice", GemmPrecision::M3xuFp32, a, b, c, SubmitOpts::default())
-//!     .unwrap();
+//! let call = Blas3Call::gemm(a, b, c).with_precision(GemmPrecision::M3xuFp32);
+//! let ticket = serve.try_submit("alice", call, SubmitOpts::default()).unwrap();
 //! let result = ticket.wait().unwrap();
 //! assert_eq!(result.d.rows(), 32);
 //! assert_eq!(serve.tenant_stats("alice").unwrap().completed, 1);
@@ -91,9 +94,8 @@
 //! let a64 = Matrix::<f64>::random_f64(16, 16, 3);
 //! let b64 = Matrix::<f64>::random_f64(16, 16, 4);
 //! let c64 = Matrix::<f64>::zeros(16, 16);
-//! let d = serve
-//!     .blocking_gemm_f64("alice", a64, b64, c64, SubmitOpts::default())
-//!     .unwrap();
+//! let call = Blas3Call::gemm(a64, b64, c64);
+//! let d = serve.submit("alice", call, SubmitOpts::default()).unwrap().wait().unwrap();
 //! assert_eq!(d.d.rows(), 16);
 //! ```
 
@@ -112,19 +114,19 @@ pub use tenant::{ModeUsage, RateLimit, TenantStats};
 // The types that cross the service boundary, re-exported so clients can
 // depend on `m3xu-serve` alone.
 pub use m3xu_fp::C32;
-pub use m3xu_kernels::blas3::Side;
+pub use m3xu_kernels::blas3::{Blas3Call, Blas3Elem, Side};
 pub use m3xu_kernels::context::{ExecStats, M3xuContext};
 pub use m3xu_kernels::gemm::{GemmPrecision, GemmResult};
 pub use m3xu_kernels::{FaultPlan, FaultSummary};
 pub use m3xu_mxu::matrix::{MatOp, Triangle};
 pub use m3xu_mxu::mma::MmaStats;
 
-use crate::queue::{Request, ShardSet, Work};
+use crate::queue::{Blas3Job, Request, ShardSet, Work};
 use crate::scheduler::{CostModel, ExecPolicy, ShardCore, SharedSched};
 use crate::tenant::TenantRegistry;
 use m3xu_mxu::matrix::Matrix;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -163,8 +165,8 @@ pub struct ServeConfig {
     /// process-wide pool (whose size `M3XU_THREADS` fixes at first use)
     /// across all shards.
     pub workers: usize,
-    /// Bounded queue capacity *per shard*; `try_submit_*` rejects past
-    /// it.
+    /// Bounded queue capacity *per shard*; [`M3xuServe::try_submit`]
+    /// rejects past it.
     pub queue_capacity: usize,
     /// Most requests a shard drains (or steals) per batch.
     pub max_batch: usize,
@@ -233,13 +235,14 @@ pub struct SubmitOpts {
     /// Queue-ordering class; see [`Priority`].
     pub priority: Priority,
     /// The per-request precision dial: when `Some`, overrides the
-    /// positional precision argument of the GEMM submission calls (and
-    /// the [`GemmPrecision::Fp64Emulated`] default of the `*_gemm_f64`
-    /// family). The override is applied at admission, so the routed
-    /// request carries exactly one resolved precision; a precision whose
-    /// element type does not match the entry point (e.g. `Fp64Emulated`
-    /// on an `f32` submission) is rejected at execution with a typed
-    /// mode-mismatch [`ServeError::Exec`] — never a panic.
+    /// submitted call's own precision ([`Blas3Call::with_precision`], or
+    /// its element type's default engine). The override is applied at
+    /// admission, so the routed request carries exactly one resolved
+    /// precision; a precision the call's element type does not take
+    /// (e.g. `Fp64Emulated` on an `f32` call, or any precision on a
+    /// complex call or an FFT, whose only engine is FP32C) is rejected at
+    /// execution with a typed mode-mismatch [`ServeError::Exec`] — never
+    /// a panic, never a silent FP32C run.
     pub precision: Option<GemmPrecision>,
 }
 
@@ -448,13 +451,18 @@ impl M3xuServe {
 
     // ---- submission ----------------------------------------------------
 
-    fn push(
+    /// Admit `work` (built around the ticket's reply channel) for
+    /// `tenant`: rejecting under backpressure, or blocking for queue
+    /// space when `blocking` is set.
+    fn enqueue<T>(
         &self,
         tenant: &str,
         opts: SubmitOpts,
-        work: Work,
         blocking: bool,
-    ) -> Result<(), ServeError> {
+        work: impl FnOnce(SyncSender<Result<T, ServeError>>) -> Work,
+    ) -> Result<Ticket<T>, ServeError> {
+        let (reply, rx) = sync_channel(1);
+        let work = work(reply);
         let account = self.registry.account(tenant);
         account.record_submitted();
         let now = Instant::now();
@@ -484,7 +492,7 @@ impl M3xuServe {
             work,
         };
         match self.set.push(shard, req, blocking) {
-            Ok(()) => Ok(()),
+            Ok(()) => Ok(Ticket { rx }),
             Err((req, e)) => {
                 req.tenant.record_rejected();
                 Err(e)
@@ -492,9 +500,49 @@ impl M3xuServe {
         }
     }
 
-    /// Non-blocking submission of a real GEMM `D = A·B + C` in
-    /// `precision` (overridden by [`SubmitOpts::precision`] when set).
-    /// Rejects with [`ServeError::QueueFull`] under backpressure.
+    /// Queue one GEMM-family call, with [`SubmitOpts::precision`] (when
+    /// set) overriding the call's own precision at admission.
+    fn enqueue_call<E: Blas3Elem>(
+        &self,
+        tenant: &str,
+        call: Blas3Call<Matrix<E>>,
+        opts: SubmitOpts,
+        blocking: bool,
+    ) -> Result<Ticket<GemmResult<E>>, ServeError> {
+        let call = match opts.precision {
+            Some(precision) => call.with_precision(precision),
+            None => call,
+        };
+        self.enqueue(tenant, opts, blocking, |reply| {
+            Work::Gemm(Box::new(Blas3Job { call, reply }))
+        })
+    }
+
+    /// Non-blocking submission of one BLAS-3 call — GEMM, op-GEMM,
+    /// SYMM/HEMM or SYRK/HERK on any element type. Rejects with
+    /// [`ServeError::QueueFull`] under backpressure.
+    pub fn try_submit<E: Blas3Elem>(
+        &self,
+        tenant: &str,
+        call: Blas3Call<Matrix<E>>,
+        opts: SubmitOpts,
+    ) -> Result<Ticket<GemmResult<E>>, ServeError> {
+        self.enqueue_call(tenant, call, opts, false)
+    }
+
+    /// [`M3xuServe::try_submit`], but blocks for queue space instead of
+    /// rejecting (fails only on shutdown).
+    pub fn submit<E: Blas3Elem>(
+        &self,
+        tenant: &str,
+        call: Blas3Call<Matrix<E>>,
+        opts: SubmitOpts,
+    ) -> Result<Ticket<GemmResult<E>>, ServeError> {
+        self.enqueue_call(tenant, call, opts, true)
+    }
+
+    /// Real GEMM `D = A·B + C` in `precision`: [`Blas3Call::gemm`] on
+    /// [`M3xuServe::try_submit`].
     pub fn try_submit_gemm_f32(
         &self,
         tenant: &str,
@@ -504,70 +552,12 @@ impl M3xuServe {
         c: Matrix<f32>,
         opts: SubmitOpts,
     ) -> Result<Ticket<GemmResult<f32>>, ServeError> {
-        let precision = opts.precision.unwrap_or(precision);
-        let (reply, rx) = sync_channel(1);
-        self.push(
-            tenant,
-            opts,
-            Work::GemmF32 {
-                precision,
-                a,
-                b,
-                c,
-                reply,
-            },
-            false,
-        )?;
-        Ok(Ticket { rx })
+        let call = Blas3Call::gemm(a, b, c).with_precision(precision);
+        self.try_submit(tenant, call, opts)
     }
 
-    /// [`M3xuServe::try_submit_gemm_f32`], but blocks for queue space
-    /// instead of rejecting (fails only on shutdown).
-    pub fn submit_gemm_f32(
-        &self,
-        tenant: &str,
-        precision: GemmPrecision,
-        a: Matrix<f32>,
-        b: Matrix<f32>,
-        c: Matrix<f32>,
-        opts: SubmitOpts,
-    ) -> Result<Ticket<GemmResult<f32>>, ServeError> {
-        let precision = opts.precision.unwrap_or(precision);
-        let (reply, rx) = sync_channel(1);
-        self.push(
-            tenant,
-            opts,
-            Work::GemmF32 {
-                precision,
-                a,
-                b,
-                c,
-                reply,
-            },
-            true,
-        )?;
-        Ok(Ticket { rx })
-    }
-
-    /// Submit-and-wait convenience: one GEMM, start to finish.
-    pub fn blocking_gemm_f32(
-        &self,
-        tenant: &str,
-        precision: GemmPrecision,
-        a: Matrix<f32>,
-        b: Matrix<f32>,
-        c: Matrix<f32>,
-        opts: SubmitOpts,
-    ) -> Result<GemmResult<f32>, ServeError> {
-        self.submit_gemm_f32(tenant, precision, a, b, c, opts)?
-            .wait()
-    }
-
-    /// Non-blocking submission of an emulated-FP64 GEMM `D = A·B + C` —
-    /// the top of the precision dial. Defaults to
-    /// [`GemmPrecision::Fp64Emulated`] unless [`SubmitOpts::precision`]
-    /// selects another (f64-element) precision. Rejects with
-    /// [`ServeError::QueueFull`] under backpressure.
+    /// Emulated-FP64 GEMM `D = A·B + C`: [`Blas3Call::gemm`] on
+    /// [`M3xuServe::try_submit`].
     pub fn try_submit_gemm_f64(
         &self,
         tenant: &str,
@@ -576,64 +566,11 @@ impl M3xuServe {
         c: Matrix<f64>,
         opts: SubmitOpts,
     ) -> Result<Ticket<GemmResult<f64>>, ServeError> {
-        let precision = opts.precision.unwrap_or(GemmPrecision::Fp64Emulated);
-        let (reply, rx) = sync_channel(1);
-        self.push(
-            tenant,
-            opts,
-            Work::GemmF64 {
-                precision,
-                a,
-                b,
-                c,
-                reply,
-            },
-            false,
-        )?;
-        Ok(Ticket { rx })
+        self.try_submit(tenant, Blas3Call::gemm(a, b, c), opts)
     }
 
-    /// [`M3xuServe::try_submit_gemm_f64`], but blocks for queue space
-    /// instead of rejecting (fails only on shutdown).
-    pub fn submit_gemm_f64(
-        &self,
-        tenant: &str,
-        a: Matrix<f64>,
-        b: Matrix<f64>,
-        c: Matrix<f64>,
-        opts: SubmitOpts,
-    ) -> Result<Ticket<GemmResult<f64>>, ServeError> {
-        let precision = opts.precision.unwrap_or(GemmPrecision::Fp64Emulated);
-        let (reply, rx) = sync_channel(1);
-        self.push(
-            tenant,
-            opts,
-            Work::GemmF64 {
-                precision,
-                a,
-                b,
-                c,
-                reply,
-            },
-            true,
-        )?;
-        Ok(Ticket { rx })
-    }
-
-    /// Submit-and-wait convenience: one emulated-FP64 GEMM, start to
-    /// finish.
-    pub fn blocking_gemm_f64(
-        &self,
-        tenant: &str,
-        a: Matrix<f64>,
-        b: Matrix<f64>,
-        c: Matrix<f64>,
-        opts: SubmitOpts,
-    ) -> Result<GemmResult<f64>, ServeError> {
-        self.submit_gemm_f64(tenant, a, b, c, opts)?.wait()
-    }
-
-    /// Non-blocking submission of a complex FP32C GEMM `D = A·B + C`.
+    /// FP32C GEMM `D = A·B + C`: [`Blas3Call::gemm`] on
+    /// [`M3xuServe::try_submit`].
     pub fn try_submit_cgemm_c32(
         &self,
         tenant: &str,
@@ -642,79 +579,11 @@ impl M3xuServe {
         c: Matrix<C32>,
         opts: SubmitOpts,
     ) -> Result<Ticket<GemmResult<C32>>, ServeError> {
-        let (reply, rx) = sync_channel(1);
-        self.push(tenant, opts, Work::CgemmC32 { a, b, c, reply }, false)?;
-        Ok(Ticket { rx })
+        self.try_submit(tenant, Blas3Call::gemm(a, b, c), opts)
     }
 
-    /// [`M3xuServe::try_submit_cgemm_c32`], blocking for queue space.
-    pub fn submit_cgemm_c32(
-        &self,
-        tenant: &str,
-        a: Matrix<C32>,
-        b: Matrix<C32>,
-        c: Matrix<C32>,
-        opts: SubmitOpts,
-    ) -> Result<Ticket<GemmResult<C32>>, ServeError> {
-        let (reply, rx) = sync_channel(1);
-        self.push(tenant, opts, Work::CgemmC32 { a, b, c, reply }, true)?;
-        Ok(Ticket { rx })
-    }
-
-    /// Submit-and-wait convenience for one complex GEMM.
-    pub fn blocking_cgemm_c32(
-        &self,
-        tenant: &str,
-        a: Matrix<C32>,
-        b: Matrix<C32>,
-        c: Matrix<C32>,
-        opts: SubmitOpts,
-    ) -> Result<GemmResult<C32>, ServeError> {
-        self.submit_cgemm_c32(tenant, a, b, c, opts)?.wait()
-    }
-
-    // ---- BLAS-3 submission ---------------------------------------------
-
-    #[allow(clippy::too_many_arguments)]
-    fn push_gemm_op_f32(
-        &self,
-        tenant: &str,
-        precision: GemmPrecision,
-        op_a: MatOp,
-        a: Matrix<f32>,
-        op_b: MatOp,
-        b: Matrix<f32>,
-        alpha: f32,
-        beta: f32,
-        c: Matrix<f32>,
-        opts: SubmitOpts,
-        blocking: bool,
-    ) -> Result<Ticket<GemmResult<f32>>, ServeError> {
-        let precision = opts.precision.unwrap_or(precision);
-        let (reply, rx) = sync_channel(1);
-        self.push(
-            tenant,
-            opts,
-            Work::GemmOpF32 {
-                precision,
-                op_a,
-                a,
-                op_b,
-                b,
-                alpha,
-                beta,
-                c,
-                reply,
-            },
-            blocking,
-        )?;
-        Ok(Ticket { rx })
-    }
-
-    /// Non-blocking submission of the general real op-GEMM
-    /// `D = alpha·op(A)·op(B) + beta·C` in `precision` (overridden by
-    /// [`SubmitOpts::precision`] when set). Rejects with
-    /// [`ServeError::QueueFull`] under backpressure.
+    /// Op-GEMM `D = alpha·op(A)·op(B) + beta·C` in `precision`:
+    /// [`Blas3Call::gemm_op`] on [`M3xuServe::try_submit`].
     #[allow(clippy::too_many_arguments)]
     pub fn try_submit_gemm_op_f32(
         &self,
@@ -729,176 +598,12 @@ impl M3xuServe {
         c: Matrix<f32>,
         opts: SubmitOpts,
     ) -> Result<Ticket<GemmResult<f32>>, ServeError> {
-        self.push_gemm_op_f32(
-            tenant, precision, op_a, a, op_b, b, alpha, beta, c, opts, false,
-        )
+        let call = Blas3Call::gemm_op(op_a, a, op_b, b, alpha, beta, c).with_precision(precision);
+        self.try_submit(tenant, call, opts)
     }
 
-    /// [`M3xuServe::try_submit_gemm_op_f32`], but blocks for queue space
-    /// instead of rejecting (fails only on shutdown).
-    #[allow(clippy::too_many_arguments)]
-    pub fn submit_gemm_op_f32(
-        &self,
-        tenant: &str,
-        precision: GemmPrecision,
-        op_a: MatOp,
-        a: Matrix<f32>,
-        op_b: MatOp,
-        b: Matrix<f32>,
-        alpha: f32,
-        beta: f32,
-        c: Matrix<f32>,
-        opts: SubmitOpts,
-    ) -> Result<Ticket<GemmResult<f32>>, ServeError> {
-        self.push_gemm_op_f32(
-            tenant, precision, op_a, a, op_b, b, alpha, beta, c, opts, true,
-        )
-    }
-
-    /// Submit-and-wait convenience for one real op-GEMM.
-    #[allow(clippy::too_many_arguments)]
-    pub fn blocking_gemm_op_f32(
-        &self,
-        tenant: &str,
-        precision: GemmPrecision,
-        op_a: MatOp,
-        a: Matrix<f32>,
-        op_b: MatOp,
-        b: Matrix<f32>,
-        alpha: f32,
-        beta: f32,
-        c: Matrix<f32>,
-        opts: SubmitOpts,
-    ) -> Result<GemmResult<f32>, ServeError> {
-        self.submit_gemm_op_f32(tenant, precision, op_a, a, op_b, b, alpha, beta, c, opts)?
-            .wait()
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn push_cgemm_op_c32(
-        &self,
-        tenant: &str,
-        op_a: MatOp,
-        a: Matrix<C32>,
-        op_b: MatOp,
-        b: Matrix<C32>,
-        alpha: C32,
-        beta: C32,
-        c: Matrix<C32>,
-        opts: SubmitOpts,
-        blocking: bool,
-    ) -> Result<Ticket<GemmResult<C32>>, ServeError> {
-        let (reply, rx) = sync_channel(1);
-        self.push(
-            tenant,
-            opts,
-            Work::CgemmOpC32 {
-                op_a,
-                a,
-                op_b,
-                b,
-                alpha,
-                beta,
-                c,
-                reply,
-            },
-            blocking,
-        )?;
-        Ok(Ticket { rx })
-    }
-
-    /// Non-blocking submission of the complex op-GEMM
-    /// `D = alpha·op(A)·op(B) + beta·C` on FP32C, where `op` may
-    /// transpose and/or conjugate.
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_submit_cgemm_op_c32(
-        &self,
-        tenant: &str,
-        op_a: MatOp,
-        a: Matrix<C32>,
-        op_b: MatOp,
-        b: Matrix<C32>,
-        alpha: C32,
-        beta: C32,
-        c: Matrix<C32>,
-        opts: SubmitOpts,
-    ) -> Result<Ticket<GemmResult<C32>>, ServeError> {
-        self.push_cgemm_op_c32(tenant, op_a, a, op_b, b, alpha, beta, c, opts, false)
-    }
-
-    /// [`M3xuServe::try_submit_cgemm_op_c32`], blocking for queue space.
-    #[allow(clippy::too_many_arguments)]
-    pub fn submit_cgemm_op_c32(
-        &self,
-        tenant: &str,
-        op_a: MatOp,
-        a: Matrix<C32>,
-        op_b: MatOp,
-        b: Matrix<C32>,
-        alpha: C32,
-        beta: C32,
-        c: Matrix<C32>,
-        opts: SubmitOpts,
-    ) -> Result<Ticket<GemmResult<C32>>, ServeError> {
-        self.push_cgemm_op_c32(tenant, op_a, a, op_b, b, alpha, beta, c, opts, true)
-    }
-
-    /// Submit-and-wait convenience for one complex op-GEMM.
-    #[allow(clippy::too_many_arguments)]
-    pub fn blocking_cgemm_op_c32(
-        &self,
-        tenant: &str,
-        op_a: MatOp,
-        a: Matrix<C32>,
-        op_b: MatOp,
-        b: Matrix<C32>,
-        alpha: C32,
-        beta: C32,
-        c: Matrix<C32>,
-        opts: SubmitOpts,
-    ) -> Result<GemmResult<C32>, ServeError> {
-        self.submit_cgemm_op_c32(tenant, op_a, a, op_b, b, alpha, beta, c, opts)?
-            .wait()
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn push_syrk_f32(
-        &self,
-        tenant: &str,
-        precision: GemmPrecision,
-        tri: Triangle,
-        op_a: MatOp,
-        a: Matrix<f32>,
-        alpha: f32,
-        beta: f32,
-        c: Matrix<f32>,
-        opts: SubmitOpts,
-        blocking: bool,
-    ) -> Result<Ticket<GemmResult<f32>>, ServeError> {
-        let precision = opts.precision.unwrap_or(precision);
-        let (reply, rx) = sync_channel(1);
-        self.push(
-            tenant,
-            opts,
-            Work::SyrkF32 {
-                precision,
-                tri,
-                op_a,
-                a,
-                alpha,
-                beta,
-                c,
-                reply,
-            },
-            blocking,
-        )?;
-        Ok(Ticket { rx })
-    }
-
-    /// Non-blocking submission of the symmetric rank-k update
-    /// `C := alpha·op(A)·op(A)^T + beta·C`, writing only `tri` — the
-    /// kernel schedules roughly half the output tiles of the equivalent
-    /// full GEMM.
+    /// SYRK over `tri` in `precision`: [`Blas3Call::syrk`] on
+    /// [`M3xuServe::try_submit`].
     #[allow(clippy::too_many_arguments)]
     pub fn try_submit_syrk_f32(
         &self,
@@ -912,79 +617,11 @@ impl M3xuServe {
         c: Matrix<f32>,
         opts: SubmitOpts,
     ) -> Result<Ticket<GemmResult<f32>>, ServeError> {
-        self.push_syrk_f32(tenant, precision, tri, op_a, a, alpha, beta, c, opts, false)
+        let call = Blas3Call::syrk(tri, op_a, a, alpha, beta, c).with_precision(precision);
+        self.try_submit(tenant, call, opts)
     }
 
-    /// [`M3xuServe::try_submit_syrk_f32`], blocking for queue space.
-    #[allow(clippy::too_many_arguments)]
-    pub fn submit_syrk_f32(
-        &self,
-        tenant: &str,
-        precision: GemmPrecision,
-        tri: Triangle,
-        op_a: MatOp,
-        a: Matrix<f32>,
-        alpha: f32,
-        beta: f32,
-        c: Matrix<f32>,
-        opts: SubmitOpts,
-    ) -> Result<Ticket<GemmResult<f32>>, ServeError> {
-        self.push_syrk_f32(tenant, precision, tri, op_a, a, alpha, beta, c, opts, true)
-    }
-
-    /// Submit-and-wait convenience for one SYRK.
-    #[allow(clippy::too_many_arguments)]
-    pub fn blocking_syrk_f32(
-        &self,
-        tenant: &str,
-        precision: GemmPrecision,
-        tri: Triangle,
-        op_a: MatOp,
-        a: Matrix<f32>,
-        alpha: f32,
-        beta: f32,
-        c: Matrix<f32>,
-        opts: SubmitOpts,
-    ) -> Result<GemmResult<f32>, ServeError> {
-        self.submit_syrk_f32(tenant, precision, tri, op_a, a, alpha, beta, c, opts)?
-            .wait()
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn push_herk_c32(
-        &self,
-        tenant: &str,
-        tri: Triangle,
-        op_a: MatOp,
-        a: Matrix<C32>,
-        alpha: f32,
-        beta: f32,
-        c: Matrix<C32>,
-        opts: SubmitOpts,
-        blocking: bool,
-    ) -> Result<Ticket<GemmResult<C32>>, ServeError> {
-        let (reply, rx) = sync_channel(1);
-        self.push(
-            tenant,
-            opts,
-            Work::HerkC32 {
-                tri,
-                op_a,
-                a,
-                alpha,
-                beta,
-                c,
-                reply,
-            },
-            blocking,
-        )?;
-        Ok(Ticket { rx })
-    }
-
-    /// Non-blocking submission of the Hermitian rank-k update
-    /// `C := alpha·op(A)·op(A)^H + beta·C` (real `alpha`/`beta`, `op`
-    /// either `N` or `H`) on FP32C, writing only `tri` with an exactly
-    /// real diagonal.
+    /// HERK over `tri`: [`Blas3Call::herk`] on [`M3xuServe::try_submit`].
     #[allow(clippy::too_many_arguments)]
     pub fn try_submit_herk_c32(
         &self,
@@ -997,82 +634,12 @@ impl M3xuServe {
         c: Matrix<C32>,
         opts: SubmitOpts,
     ) -> Result<Ticket<GemmResult<C32>>, ServeError> {
-        self.push_herk_c32(tenant, tri, op_a, a, alpha, beta, c, opts, false)
+        let call = Blas3Call::herk(tri, op_a, a, alpha, beta, c);
+        self.try_submit(tenant, call, opts)
     }
 
-    /// [`M3xuServe::try_submit_herk_c32`], blocking for queue space.
-    #[allow(clippy::too_many_arguments)]
-    pub fn submit_herk_c32(
-        &self,
-        tenant: &str,
-        tri: Triangle,
-        op_a: MatOp,
-        a: Matrix<C32>,
-        alpha: f32,
-        beta: f32,
-        c: Matrix<C32>,
-        opts: SubmitOpts,
-    ) -> Result<Ticket<GemmResult<C32>>, ServeError> {
-        self.push_herk_c32(tenant, tri, op_a, a, alpha, beta, c, opts, true)
-    }
-
-    /// Submit-and-wait convenience for one HERK.
-    #[allow(clippy::too_many_arguments)]
-    pub fn blocking_herk_c32(
-        &self,
-        tenant: &str,
-        tri: Triangle,
-        op_a: MatOp,
-        a: Matrix<C32>,
-        alpha: f32,
-        beta: f32,
-        c: Matrix<C32>,
-        opts: SubmitOpts,
-    ) -> Result<GemmResult<C32>, ServeError> {
-        self.submit_herk_c32(tenant, tri, op_a, a, alpha, beta, c, opts)?
-            .wait()
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn push_symm_f32(
-        &self,
-        tenant: &str,
-        precision: GemmPrecision,
-        side: Side,
-        tri: Triangle,
-        a: Matrix<f32>,
-        b: Matrix<f32>,
-        alpha: f32,
-        beta: f32,
-        c: Matrix<f32>,
-        opts: SubmitOpts,
-        blocking: bool,
-    ) -> Result<Ticket<GemmResult<f32>>, ServeError> {
-        let precision = opts.precision.unwrap_or(precision);
-        let (reply, rx) = sync_channel(1);
-        self.push(
-            tenant,
-            opts,
-            Work::SymmF32 {
-                precision,
-                side,
-                tri,
-                a,
-                b,
-                alpha,
-                beta,
-                c,
-                reply,
-            },
-            blocking,
-        )?;
-        Ok(Ticket { rx })
-    }
-
-    /// Non-blocking submission of the symmetric multiply
-    /// `C := alpha·sym(A)·B + beta·C` (or `B·sym(A)` for
-    /// [`Side::Right`]), with `sym(A)` read from the `tri` triangle of
-    /// the square `A`.
+    /// SYMM in `precision`: [`Blas3Call::symm`] on
+    /// [`M3xuServe::try_submit`].
     #[allow(clippy::too_many_arguments)]
     pub fn try_submit_symm_f32(
         &self,
@@ -1087,87 +654,11 @@ impl M3xuServe {
         c: Matrix<f32>,
         opts: SubmitOpts,
     ) -> Result<Ticket<GemmResult<f32>>, ServeError> {
-        self.push_symm_f32(
-            tenant, precision, side, tri, a, b, alpha, beta, c, opts, false,
-        )
+        let call = Blas3Call::symm(side, tri, a, b, alpha, beta, c).with_precision(precision);
+        self.try_submit(tenant, call, opts)
     }
 
-    /// [`M3xuServe::try_submit_symm_f32`], blocking for queue space.
-    #[allow(clippy::too_many_arguments)]
-    pub fn submit_symm_f32(
-        &self,
-        tenant: &str,
-        precision: GemmPrecision,
-        side: Side,
-        tri: Triangle,
-        a: Matrix<f32>,
-        b: Matrix<f32>,
-        alpha: f32,
-        beta: f32,
-        c: Matrix<f32>,
-        opts: SubmitOpts,
-    ) -> Result<Ticket<GemmResult<f32>>, ServeError> {
-        self.push_symm_f32(
-            tenant, precision, side, tri, a, b, alpha, beta, c, opts, true,
-        )
-    }
-
-    /// Submit-and-wait convenience for one SYMM.
-    #[allow(clippy::too_many_arguments)]
-    pub fn blocking_symm_f32(
-        &self,
-        tenant: &str,
-        precision: GemmPrecision,
-        side: Side,
-        tri: Triangle,
-        a: Matrix<f32>,
-        b: Matrix<f32>,
-        alpha: f32,
-        beta: f32,
-        c: Matrix<f32>,
-        opts: SubmitOpts,
-    ) -> Result<GemmResult<f32>, ServeError> {
-        self.submit_symm_f32(tenant, precision, side, tri, a, b, alpha, beta, c, opts)?
-            .wait()
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn push_hemm_c32(
-        &self,
-        tenant: &str,
-        side: Side,
-        tri: Triangle,
-        a: Matrix<C32>,
-        b: Matrix<C32>,
-        alpha: C32,
-        beta: C32,
-        c: Matrix<C32>,
-        opts: SubmitOpts,
-        blocking: bool,
-    ) -> Result<Ticket<GemmResult<C32>>, ServeError> {
-        let (reply, rx) = sync_channel(1);
-        self.push(
-            tenant,
-            opts,
-            Work::HemmC32 {
-                side,
-                tri,
-                a,
-                b,
-                alpha,
-                beta,
-                c,
-                reply,
-            },
-            blocking,
-        )?;
-        Ok(Ticket { rx })
-    }
-
-    /// Non-blocking submission of the Hermitian multiply
-    /// `C := alpha·herm(A)·B + beta·C` (or `B·herm(A)` for
-    /// [`Side::Right`]) on FP32C, with `herm(A)` reconstructed from the
-    /// `tri` triangle of the square `A`.
+    /// HEMM: [`Blas3Call::hemm`] on [`M3xuServe::try_submit`].
     #[allow(clippy::too_many_arguments)]
     pub fn try_submit_hemm_c32(
         &self,
@@ -1181,55 +672,25 @@ impl M3xuServe {
         c: Matrix<C32>,
         opts: SubmitOpts,
     ) -> Result<Ticket<GemmResult<C32>>, ServeError> {
-        self.push_hemm_c32(tenant, side, tri, a, b, alpha, beta, c, opts, false)
-    }
-
-    /// [`M3xuServe::try_submit_hemm_c32`], blocking for queue space.
-    #[allow(clippy::too_many_arguments)]
-    pub fn submit_hemm_c32(
-        &self,
-        tenant: &str,
-        side: Side,
-        tri: Triangle,
-        a: Matrix<C32>,
-        b: Matrix<C32>,
-        alpha: C32,
-        beta: C32,
-        c: Matrix<C32>,
-        opts: SubmitOpts,
-    ) -> Result<Ticket<GemmResult<C32>>, ServeError> {
-        self.push_hemm_c32(tenant, side, tri, a, b, alpha, beta, c, opts, true)
-    }
-
-    /// Submit-and-wait convenience for one HEMM.
-    #[allow(clippy::too_many_arguments)]
-    pub fn blocking_hemm_c32(
-        &self,
-        tenant: &str,
-        side: Side,
-        tri: Triangle,
-        a: Matrix<C32>,
-        b: Matrix<C32>,
-        alpha: C32,
-        beta: C32,
-        c: Matrix<C32>,
-        opts: SubmitOpts,
-    ) -> Result<GemmResult<C32>, ServeError> {
-        self.submit_hemm_c32(tenant, side, tri, a, b, alpha, beta, c, opts)?
-            .wait()
+        let call = Blas3Call::hemm(side, tri, a, b, alpha, beta, c);
+        self.try_submit(tenant, call, opts)
     }
 
     /// Non-blocking submission of a GEMM-formulated FFT of `x` (length
-    /// must satisfy the kernel's power-of-two contract).
+    /// must satisfy the kernel's power-of-two contract). FP32C is its
+    /// only engine: a [`SubmitOpts::precision`] resolves to a typed
+    /// mode-mismatch [`ServeError::Exec`].
     pub fn try_submit_fft(
         &self,
         tenant: &str,
         x: Vec<C32>,
         opts: SubmitOpts,
     ) -> Result<Ticket<(Vec<C32>, MmaStats)>, ServeError> {
-        let (reply, rx) = sync_channel(1);
-        self.push(tenant, opts, Work::Fft { x, reply }, false)?;
-        Ok(Ticket { rx })
+        self.enqueue(tenant, opts, false, |reply| Work::Fft {
+            x,
+            precision: opts.precision,
+            reply,
+        })
     }
 
     /// [`M3xuServe::try_submit_fft`], blocking for queue space.
@@ -1239,19 +700,11 @@ impl M3xuServe {
         x: Vec<C32>,
         opts: SubmitOpts,
     ) -> Result<Ticket<(Vec<C32>, MmaStats)>, ServeError> {
-        let (reply, rx) = sync_channel(1);
-        self.push(tenant, opts, Work::Fft { x, reply }, true)?;
-        Ok(Ticket { rx })
-    }
-
-    /// Submit-and-wait convenience for one FFT.
-    pub fn blocking_fft(
-        &self,
-        tenant: &str,
-        x: Vec<C32>,
-        opts: SubmitOpts,
-    ) -> Result<(Vec<C32>, MmaStats), ServeError> {
-        self.submit_fft(tenant, x, opts)?.wait()
+        self.enqueue(tenant, opts, true, |reply| Work::Fft {
+            x,
+            precision: opts.precision,
+            reply,
+        })
     }
 
     /// Test-only chaos hook: submit a request that misbehaves on the
@@ -1265,13 +718,11 @@ impl M3xuServe {
         kind: ChaosKind,
         opts: SubmitOpts,
     ) -> Result<Ticket<()>, ServeError> {
-        let (reply, rx) = sync_channel(1);
-        self.push(tenant, opts, Work::Chaos { kind, reply }, false)?;
-        Ok(Ticket { rx })
+        self.enqueue(tenant, opts, false, |reply| Work::Chaos { kind, reply })
     }
 
     /// Stop the service: flags shutdown, wakes every submitter parked in
-    /// a blocking `submit_*` call (they fail with
+    /// a blocking [`M3xuServe::submit`] call (they fail with
     /// [`ServeError::ShuttingDown`]), and lets each shard sweep its
     /// still-queued requests with the same error. Idempotent; dropping
     /// the service calls this implicitly and then joins the shards.

@@ -18,12 +18,14 @@
 //! submitters park on their shard's own `space` condvar.
 
 use crate::error::ServeError;
+use crate::scheduler::{self, ShardCore};
 use crate::tenant::TenantAccount;
 use m3xu_fp::C32;
-use m3xu_kernels::blas3::Side;
+use m3xu_kernels::blas3::{Blas3Call, Blas3Elem};
 use m3xu_kernels::gemm::{GemmPrecision, GemmResult};
-use m3xu_mxu::matrix::{MatOp, Matrix, Triangle};
-use m3xu_mxu::mma::{MmaShape, MmaStats};
+use m3xu_mxu::matrix::Matrix;
+use m3xu_mxu::mma::MmaStats;
+use std::any::Any;
 use std::collections::VecDeque;
 use std::sync::mpsc::SyncSender;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -78,168 +80,18 @@ pub enum ChaosKind {
 /// listens on. Reply senders are rendezvous-free (`sync_channel(1)`): the
 /// single reply never blocks the worker.
 pub(crate) enum Work {
-    /// Real GEMM `D = A·B + C` in a [`GemmPrecision`].
-    GemmF32 {
-        /// Requested engine/precision.
-        precision: GemmPrecision,
-        /// `m x k` left operand.
-        a: Matrix<f32>,
-        /// `k x n` right operand.
-        b: Matrix<f32>,
-        /// `m x n` addend.
-        c: Matrix<f32>,
-        /// Reply channel.
-        reply: SyncSender<Result<GemmResult<f32>, ServeError>>,
-    },
-    /// Emulated-FP64 GEMM `D = A·B + C` — the top of the precision dial.
-    GemmF64 {
-        /// Requested engine/precision (must be an f64-element precision;
-        /// anything else resolves the ticket with a typed
-        /// mode-mismatch [`ServeError::Exec`]).
-        precision: GemmPrecision,
-        /// `m x k` left operand.
-        a: Matrix<f64>,
-        /// `k x n` right operand.
-        b: Matrix<f64>,
-        /// `m x n` addend.
-        c: Matrix<f64>,
-        /// Reply channel.
-        reply: SyncSender<Result<GemmResult<f64>, ServeError>>,
-    },
-    /// Complex FP32C GEMM.
-    CgemmC32 {
-        /// `m x k` left operand.
-        a: Matrix<C32>,
-        /// `k x n` right operand.
-        b: Matrix<C32>,
-        /// `m x n` addend.
-        c: Matrix<C32>,
-        /// Reply channel.
-        reply: SyncSender<Result<GemmResult<C32>, ServeError>>,
-    },
+    /// A GEMM-family call — GEMM, op-GEMM, SYMM/HEMM, SYRK/HERK — on any
+    /// element type.
+    Gemm(Box<dyn GemmJob>),
     /// GEMM-formulated FFT of a power-of-two-length signal.
     Fft {
         /// The input signal.
         x: Vec<C32>,
+        /// The requested precision: FP32C is the FFT's only engine, so
+        /// any `Some` resolves to a typed mode mismatch.
+        precision: Option<GemmPrecision>,
         /// Reply channel.
         reply: SyncSender<Result<(Vec<C32>, MmaStats), ServeError>>,
-    },
-    /// Op-GEMM `D = alpha·op(A)·op(B) + beta·C` on an f32 engine.
-    GemmOpF32 {
-        /// Requested engine/precision.
-        precision: GemmPrecision,
-        /// Orientation of `A`.
-        op_a: MatOp,
-        /// Stored `A` (logical `m x k` after `op_a`).
-        a: Matrix<f32>,
-        /// Orientation of `B`.
-        op_b: MatOp,
-        /// Stored `B` (logical `k x n` after `op_b`).
-        b: Matrix<f32>,
-        /// Scale folded into `op(A)` before quantisation.
-        alpha: f32,
-        /// Scale folded into the `C` seed.
-        beta: f32,
-        /// `m x n` addend.
-        c: Matrix<f32>,
-        /// Reply channel.
-        reply: SyncSender<Result<GemmResult<f32>, ServeError>>,
-    },
-    /// Complex op-GEMM `D = alpha·op(A)·op(B) + beta·C` on FP32C.
-    CgemmOpC32 {
-        /// Orientation of `A` (may conjugate).
-        op_a: MatOp,
-        /// Stored `A`.
-        a: Matrix<C32>,
-        /// Orientation of `B` (may conjugate).
-        op_b: MatOp,
-        /// Stored `B`.
-        b: Matrix<C32>,
-        /// Scale folded into `op(A)`.
-        alpha: C32,
-        /// Scale folded into the `C` seed.
-        beta: C32,
-        /// `m x n` addend.
-        c: Matrix<C32>,
-        /// Reply channel.
-        reply: SyncSender<Result<GemmResult<C32>, ServeError>>,
-    },
-    /// SYRK `C := alpha·op(A)·op(A)^T + beta·C` over one triangle.
-    SyrkF32 {
-        /// Requested engine/precision.
-        precision: GemmPrecision,
-        /// Triangle of `C` that is written.
-        tri: Triangle,
-        /// Orientation of `A`.
-        op_a: MatOp,
-        /// Stored `A` (logical `n x k` after `op_a`).
-        a: Matrix<f32>,
-        /// Rank-k scale.
-        alpha: f32,
-        /// `C` seed scale.
-        beta: f32,
-        /// `n x n` addend/output.
-        c: Matrix<f32>,
-        /// Reply channel.
-        reply: SyncSender<Result<GemmResult<f32>, ServeError>>,
-    },
-    /// HERK `C := alpha·op(A)·op(A)^H + beta·C` (real scales) over one
-    /// triangle on FP32C.
-    HerkC32 {
-        /// Triangle of `C` that is written.
-        tri: Triangle,
-        /// Orientation of `A` (`N` or `H`).
-        op_a: MatOp,
-        /// Stored `A`.
-        a: Matrix<C32>,
-        /// Rank-k scale (real, per the BLAS signature).
-        alpha: f32,
-        /// `C` seed scale (real).
-        beta: f32,
-        /// `n x n` addend/output.
-        c: Matrix<C32>,
-        /// Reply channel.
-        reply: SyncSender<Result<GemmResult<C32>, ServeError>>,
-    },
-    /// SYMM with a triangle-stored symmetric `A`.
-    SymmF32 {
-        /// Requested engine/precision.
-        precision: GemmPrecision,
-        /// Which side `sym(A)` multiplies from.
-        side: Side,
-        /// Stored triangle of `A`.
-        tri: Triangle,
-        /// The square symmetric operand.
-        a: Matrix<f32>,
-        /// The dense operand.
-        b: Matrix<f32>,
-        /// Product scale.
-        alpha: f32,
-        /// `C` seed scale.
-        beta: f32,
-        /// `m x n` addend.
-        c: Matrix<f32>,
-        /// Reply channel.
-        reply: SyncSender<Result<GemmResult<f32>, ServeError>>,
-    },
-    /// HEMM with a triangle-stored Hermitian `A` on FP32C.
-    HemmC32 {
-        /// Which side `herm(A)` multiplies from.
-        side: Side,
-        /// Stored triangle of `A`.
-        tri: Triangle,
-        /// The square Hermitian operand.
-        a: Matrix<C32>,
-        /// The dense operand.
-        b: Matrix<C32>,
-        /// Product scale.
-        alpha: C32,
-        /// `C` seed scale.
-        beta: C32,
-        /// `m x n` addend.
-        c: Matrix<C32>,
-        /// Reply channel.
-        reply: SyncSender<Result<GemmResult<C32>, ServeError>>,
     },
     /// Test-only chaos hook (see [`ChaosKind`]). Classified as "large"
     /// (`usize::MAX` output tiles) so it always executes serially on the
@@ -252,43 +104,49 @@ pub(crate) enum Work {
     },
 }
 
+/// A queued GEMM-family call with owned operands, and its reply channel.
+pub(crate) struct Blas3Job<E: Blas3Elem> {
+    /// The call, its precision already resolved at admission.
+    pub call: Blas3Call<Matrix<E>>,
+    /// Reply channel.
+    pub reply: SyncSender<Result<GemmResult<E>, ServeError>>,
+}
+
+/// A [`Blas3Job`] with its element type erased: what the queue and the
+/// scheduler need of any GEMM-family request.
+pub(crate) trait GemmJob: Any + Send + Sync {
+    /// [`Blas3Call::output_tiles`].
+    fn output_tiles(&self) -> usize;
+    /// Resolve the ticket with `err` without executing.
+    fn reject(&self, err: ServeError);
+    /// Execute on `shard` and settle (see [`scheduler::execute_gemm`]).
+    fn execute(&self, shard: &ShardCore, req: &Request, wait_ns: u64);
+}
+
+impl<E: Blas3Elem> GemmJob for Blas3Job<E> {
+    fn output_tiles(&self) -> usize {
+        self.call.output_tiles()
+    }
+
+    fn reject(&self, err: ServeError) {
+        drop(self.reply.try_send(Err(err)));
+    }
+
+    fn execute(&self, shard: &ShardCore, req: &Request, wait_ns: u64) {
+        scheduler::execute_gemm(shard, req, wait_ns, &self.call, &self.reply);
+    }
+}
+
 impl Work {
     /// Output tiles the request shards into (the small/large classifier,
     /// also the unit of the adaptive batching cost model). An FFT
     /// decomposes into many small internal CGEMMs, so it always counts as
-    /// one unit. Triangular rank-k updates count only the scheduled
-    /// triangle — `T*(T+1)/2` of the `T x T` grid — so the batching cost
-    /// model sees their real (halved) footprint.
+    /// one unit; a GEMM-family call counts what the driver schedules —
+    /// for a triangular rank-k update only the triangle.
     pub(crate) fn output_tiles(&self) -> usize {
-        let frag = MmaShape::BASELINE_FP16;
-        let grid = |rows: usize, cols: usize| rows.div_ceil(frag.m) * cols.div_ceil(frag.n);
-        let tri_grid = |n: usize| {
-            let t = n.div_ceil(frag.m);
-            t * (t + 1) / 2
-        };
         match self {
-            Work::GemmF32 { a, b, .. } => grid(a.rows(), b.cols()),
-            Work::GemmF64 { a, b, .. } => grid(a.rows(), b.cols()),
-            Work::CgemmC32 { a, b, .. } => grid(a.rows(), b.cols()),
+            Work::Gemm(job) => job.output_tiles(),
             Work::Fft { .. } => 1,
-            Work::GemmOpF32 {
-                op_a, a, op_b, b, ..
-            } => {
-                let m = op_a.dims(a.rows(), a.cols()).0;
-                let n = op_b.dims(b.rows(), b.cols()).1;
-                grid(m, n)
-            }
-            Work::CgemmOpC32 {
-                op_a, a, op_b, b, ..
-            } => {
-                let m = op_a.dims(a.rows(), a.cols()).0;
-                let n = op_b.dims(b.rows(), b.cols()).1;
-                grid(m, n)
-            }
-            Work::SyrkF32 { op_a, a, .. } => tri_grid(op_a.dims(a.rows(), a.cols()).0),
-            Work::HerkC32 { op_a, a, .. } => tri_grid(op_a.dims(a.rows(), a.cols()).0),
-            Work::SymmF32 { c, .. } => grid(c.rows(), c.cols()),
-            Work::HemmC32 { c, .. } => grid(c.rows(), c.cols()),
             Work::Chaos { .. } => usize::MAX,
         }
     }
@@ -296,16 +154,8 @@ impl Work {
     /// Resolve the request's ticket with `err` without executing it.
     pub(crate) fn reject(&self, err: ServeError) {
         match self {
-            Work::GemmF32 { reply, .. } => drop(reply.try_send(Err(err))),
-            Work::GemmF64 { reply, .. } => drop(reply.try_send(Err(err))),
-            Work::CgemmC32 { reply, .. } => drop(reply.try_send(Err(err))),
+            Work::Gemm(job) => job.reject(err),
             Work::Fft { reply, .. } => drop(reply.try_send(Err(err))),
-            Work::GemmOpF32 { reply, .. } => drop(reply.try_send(Err(err))),
-            Work::CgemmOpC32 { reply, .. } => drop(reply.try_send(Err(err))),
-            Work::SyrkF32 { reply, .. } => drop(reply.try_send(Err(err))),
-            Work::HerkC32 { reply, .. } => drop(reply.try_send(Err(err))),
-            Work::SymmF32 { reply, .. } => drop(reply.try_send(Err(err))),
-            Work::HemmC32 { reply, .. } => drop(reply.try_send(Err(err))),
             Work::Chaos { reply, .. } => drop(reply.try_send(Err(err))),
         }
     }
@@ -624,15 +474,35 @@ mod tests {
             deadline: None,
             priority,
             poison_attempts: 0,
-            work: Work::GemmF32 {
-                precision: GemmPrecision::M3xuFp32,
-                a: Matrix::zeros(n, n),
-                b: Matrix::zeros(n, n),
-                c: Matrix::zeros(n, n),
-                reply: tx,
-            },
+            work: gemm_work(
+                Matrix::zeros(n, n),
+                Matrix::zeros(n, n),
+                Matrix::zeros(n, n),
+                tx,
+            ),
         };
         (req, rx)
+    }
+
+    fn gemm_work(
+        a: Matrix<f32>,
+        b: Matrix<f32>,
+        c: Matrix<f32>,
+        reply: SyncSender<Result<GemmResult<f32>, ServeError>>,
+    ) -> Work {
+        let call = Blas3Call::gemm(a, b, c).with_precision(GemmPrecision::M3xuFp32);
+        Work::Gemm(Box::new(Blas3Job { call, reply }))
+    }
+
+    /// The `m` of a queued f32 GEMM.
+    fn rows(work: &Work) -> usize {
+        match work {
+            Work::Gemm(job) => {
+                let job: &dyn Any = &**job;
+                job.downcast_ref::<Blas3Job<f32>>().unwrap().call.dims().0
+            }
+            _ => unreachable!(),
+        }
     }
 
     #[test]
@@ -668,23 +538,11 @@ mod tests {
         }
         // High first (3 then 5), then Normal FIFO (2), bounded at 3.
         let batch = set.shard(0).try_drain(3);
-        let sizes: Vec<usize> = batch
-            .iter()
-            .map(|r| match &r.work {
-                Work::GemmF32 { a, .. } => a.rows(),
-                _ => unreachable!(),
-            })
-            .collect();
+        let sizes: Vec<usize> = batch.iter().map(|r| rows(&r.work)).collect();
         assert_eq!(sizes, vec![3, 5, 2]);
         // Remainder: Normal (4) before Low (1).
         let rest = set.shard(0).try_drain(8);
-        let sizes: Vec<usize> = rest
-            .iter()
-            .map(|r| match &r.work {
-                Work::GemmF32 { a, .. } => a.rows(),
-                _ => unreachable!(),
-            })
-            .collect();
+        let sizes: Vec<usize> = rest.iter().map(|r| rows(&r.work)).collect();
         assert_eq!(sizes, vec![4, 1]);
         assert_eq!(set.len(), 0);
     }
@@ -760,18 +618,18 @@ mod tests {
     #[test]
     fn output_tiles_classifies_by_output_grid() {
         let (tx, _rx) = sync_channel::<Result<GemmResult<f32>, ServeError>>(1);
-        let w = Work::GemmF32 {
-            precision: GemmPrecision::M3xuFp32,
-            a: Matrix::zeros(17, 4),
-            b: Matrix::zeros(4, 9),
-            c: Matrix::zeros(17, 9),
-            reply: tx,
-        };
+        let w = gemm_work(
+            Matrix::zeros(17, 4),
+            Matrix::zeros(4, 9),
+            Matrix::zeros(17, 9),
+            tx,
+        );
         assert_eq!(w.output_tiles(), 3 * 2);
         let (tx, _rx) = sync_channel::<Result<(Vec<C32>, MmaStats), ServeError>>(1);
         assert_eq!(
             Work::Fft {
                 x: vec![],
+                precision: None,
                 reply: tx
             }
             .output_tiles(),

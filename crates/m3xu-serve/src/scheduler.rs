@@ -19,9 +19,10 @@
 //!   kernel's own tile-wise sharding spreads a single big problem across
 //!   every worker.
 //!
-//! Both paths end in the same `try_gemm_f32` / `try_cgemm_c32` /
-//! `try_gemm_fft` calls a direct-context caller would make, which is why
-//! served results are bit-identical to unserved ones.
+//! Both paths end in the same [`M3xuContext::run`] (or `try_gemm_fft`)
+//! call a direct-context caller would make with the same
+//! [`Blas3Call`], which is why served results are bit-identical to
+//! unserved ones.
 //!
 //! # Adaptive batching
 //!
@@ -96,8 +97,8 @@
 //! Every invocation's [`FaultSummary`] — including those of failed
 //! attempts, recovered from the error's fields — is absorbed into the
 //! tenant account verbatim, so summed tenant fault counters reproduce the
-//! summed shard `ExecStats` fault counters exactly for GEMM/CGEMM and
-//! BLAS-3 traffic. (FFT-internal faults are visible in the context's
+//! summed shard `ExecStats` fault counters exactly for GEMM-family
+//! traffic. (FFT-internal faults are visible in the context's
 //! counters only: the FFT's CGEMM decomposition is checked and retried,
 //! but its per-call summaries are not surfaced through the FFT return
 //! type.)
@@ -139,11 +140,13 @@
 use crate::error::ServeError;
 use crate::queue::{ChaosKind, Request, ShardSet, Wake, Work};
 use crate::BatchPolicy;
-use m3xu_kernels::blas3::Side;
+use m3xu_kernels::blas3::{Blas3Call, Blas3Elem};
 use m3xu_kernels::context::M3xuContext;
 use m3xu_kernels::gemm::GemmResult;
 use m3xu_kernels::FaultSummary;
 use m3xu_mxu::error::M3xuError;
+use m3xu_mxu::matrix::Matrix;
+use m3xu_mxu::mma::MmaStats;
 use m3xu_mxu::modes::MxuMode;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -469,18 +472,6 @@ fn ns(from: Instant, to: Instant) -> u64 {
     to.saturating_duration_since(from).as_nanos() as u64
 }
 
-/// The driver's rule-(c) operand-traffic formula, mirrored so per-tenant
-/// sums reproduce the shards' `operand_bytes` exactly: A/B elements at
-/// the mode's storage width, zero for degenerate shapes (which the driver
-/// returns from before recording traffic).
-fn gemm_operand_bytes(m: usize, k: usize, n: usize, mode: MxuMode) -> u64 {
-    if m == 0 || k == 0 || n == 0 {
-        0
-    } else {
-        ((m * k + k * n) * mode.element_bytes()) as u64
-    }
-}
-
 /// How one request's in-service time splits across attempts.
 #[derive(Default, Clone, Copy)]
 struct AttemptTimes {
@@ -604,6 +595,15 @@ fn run_hedged<T>(
     }
 }
 
+/// What a successful execution is billed to its tenant: the engine mode,
+/// the MMA statistics, and the rule-(c) operand bytes
+/// ([`Blas3Call::operand_bytes`]).
+struct Bill {
+    mode: MxuMode,
+    stats: MmaStats,
+    operand_bytes: u64,
+}
+
 /// A request executed successfully but past its deadline: classify it
 /// `deadline_missed` while still attributing the executed work, then
 /// resolve the ticket with the post-completion lateness. Returns `true`
@@ -612,9 +612,7 @@ fn run_hedged<T>(
 fn settle_post_deadline(
     req: &Request,
     reject: impl FnOnce(ServeError),
-    mode: MxuMode,
-    stats: &m3xu_mxu::mma::MmaStats,
-    operand_bytes: u64,
+    bill: &Bill,
     wait_ns: u64,
     times: AttemptTimes,
 ) -> bool {
@@ -623,9 +621,9 @@ fn settle_post_deadline(
         Some(deadline) if done > deadline => {
             let late_ns = ns(deadline, done);
             req.tenant.record_deadline_missed_executed(
-                mode,
-                stats,
-                operand_bytes,
+                bill.mode,
+                &bill.stats,
+                bill.operand_bytes,
                 wait_ns,
                 times.exec_ns,
                 times.retry_ns,
@@ -669,7 +667,8 @@ pub(crate) fn execute(shard: &ShardCore, req: &Request) -> Disposition {
     }
 }
 
-/// The unguarded execution body: one `Work` arm per operation.
+/// The unguarded execution body: the GEMM-family arm, the FFT, and the
+/// chaos hook.
 fn execute_inner(shard: &ShardCore, req: &Request) {
     let core = &*shard.shared;
     let started = Instant::now();
@@ -686,327 +685,37 @@ fn execute_inner(shard: &ShardCore, req: &Request) {
             return;
         }
     }
-    let tiles = req.work.output_tiles();
     match &req.work {
-        Work::GemmF32 {
+        Work::Gemm(job) => job.execute(shard, req, wait_ns),
+        Work::Fft {
+            x,
             precision,
-            a,
-            b,
-            c,
             reply,
         } => {
-            let (out, faults, times) =
-                run_hedged(shard, |ctx| ctx.try_gemm_f32_faulted(*precision, a, b, c));
-            req.tenant.record_faults(&faults);
-            match out {
-                Ok(res) => {
-                    shard.cost.observe(times.exec_ns, tiles);
-                    settle_success(core, req);
-                    let mode = precision.mode();
-                    let bytes = gemm_operand_bytes(a.rows(), a.cols(), b.cols(), mode);
-                    if settle_post_deadline(
-                        req,
-                        |e| drop(reply.try_send(Err(e))),
-                        mode,
-                        &res.stats,
-                        bytes,
-                        wait_ns,
-                        times,
-                    ) {
-                        return;
-                    }
-                    req.tenant.record_completed(
-                        mode,
-                        &res.stats,
-                        bytes,
-                        wait_ns,
-                        times.exec_ns,
-                        times.retry_ns,
-                    );
-                    drop(reply.try_send(Ok(res)));
-                }
-                Err(e) => {
-                    req.tenant
-                        .record_exec_error(wait_ns, times.exec_ns, times.retry_ns);
-                    settle_failure(core, req, &e);
-                    drop(reply.try_send(Err(e.into())));
-                }
-            }
-        }
-        Work::GemmF64 {
-            precision,
-            a,
-            b,
-            c,
-            reply,
-        } => {
-            let (out, faults, times) =
-                run_hedged(shard, |ctx| ctx.try_gemm_f64_faulted(*precision, a, b, c));
-            req.tenant.record_faults(&faults);
-            match out {
-                Ok(res) => {
-                    shard.cost.observe(times.exec_ns, tiles);
-                    settle_success(core, req);
-                    let mode = precision.mode();
-                    let bytes = gemm_operand_bytes(a.rows(), a.cols(), b.cols(), mode);
-                    if settle_post_deadline(
-                        req,
-                        |e| drop(reply.try_send(Err(e))),
-                        mode,
-                        &res.stats,
-                        bytes,
-                        wait_ns,
-                        times,
-                    ) {
-                        return;
-                    }
-                    req.tenant.record_completed(
-                        mode,
-                        &res.stats,
-                        bytes,
-                        wait_ns,
-                        times.exec_ns,
-                        times.retry_ns,
-                    );
-                    drop(reply.try_send(Ok(res)));
-                }
-                Err(e) => {
-                    req.tenant
-                        .record_exec_error(wait_ns, times.exec_ns, times.retry_ns);
-                    settle_failure(core, req, &e);
-                    drop(reply.try_send(Err(e.into())));
-                }
-            }
-        }
-        Work::CgemmC32 { a, b, c, reply } => {
-            let (out, faults, times) = run_hedged(shard, |ctx| ctx.try_cgemm_c32_faulted(a, b, c));
-            req.tenant.record_faults(&faults);
-            match out {
-                Ok(res) => {
-                    shard.cost.observe(times.exec_ns, tiles);
-                    settle_success(core, req);
-                    let bytes =
-                        gemm_operand_bytes(a.rows(), a.cols(), b.cols(), MxuMode::M3xuFp32c);
-                    if settle_post_deadline(
-                        req,
-                        |e| drop(reply.try_send(Err(e))),
-                        MxuMode::M3xuFp32c,
-                        &res.stats,
-                        bytes,
-                        wait_ns,
-                        times,
-                    ) {
-                        return;
-                    }
-                    req.tenant.record_completed(
-                        MxuMode::M3xuFp32c,
-                        &res.stats,
-                        bytes,
-                        wait_ns,
-                        times.exec_ns,
-                        times.retry_ns,
-                    );
-                    drop(reply.try_send(Ok(res)));
-                }
-                Err(e) => {
-                    req.tenant
-                        .record_exec_error(wait_ns, times.exec_ns, times.retry_ns);
-                    settle_failure(core, req, &e);
-                    drop(reply.try_send(Err(e.into())));
-                }
-            }
-        }
-        Work::GemmOpF32 {
-            precision,
-            op_a,
-            a,
-            op_b,
-            b,
-            alpha,
-            beta,
-            c,
-            reply,
-        } => {
-            let (out, faults, times) = run_hedged(shard, |ctx| {
-                ctx.try_gemm_op_f32_faulted(*precision, *op_a, a, *op_b, b, *alpha, *beta, c)
-            });
-            let (m, k) = op_a.dims(a.rows(), a.cols());
-            let n = op_b.dims(b.rows(), b.cols()).1;
-            let mode = precision.mode();
-            let bytes = gemm_operand_bytes(m, k, n, mode);
-            settle_gemm_outcome(shard, req, reply, mode, bytes, wait_ns, out, faults, times);
-        }
-        Work::CgemmOpC32 {
-            op_a,
-            a,
-            op_b,
-            b,
-            alpha,
-            beta,
-            c,
-            reply,
-        } => {
-            let (out, faults, times) = run_hedged(shard, |ctx| {
-                ctx.try_cgemm_op_c32_faulted(*op_a, a, *op_b, b, *alpha, *beta, c)
-            });
-            let (m, k) = op_a.dims(a.rows(), a.cols());
-            let n = op_b.dims(b.rows(), b.cols()).1;
-            let bytes = gemm_operand_bytes(m, k, n, MxuMode::M3xuFp32c);
-            settle_gemm_outcome(
-                shard,
-                req,
-                reply,
-                MxuMode::M3xuFp32c,
-                bytes,
-                wait_ns,
-                out,
-                faults,
-                times,
-            );
-        }
-        Work::SyrkF32 {
-            precision,
-            tri,
-            op_a,
-            a,
-            alpha,
-            beta,
-            c,
-            reply,
-        } => {
-            let (out, faults, times) = run_hedged(shard, |ctx| {
-                ctx.try_syrk_f32_faulted(*precision, *tri, *op_a, a, *alpha, *beta, c)
-            });
-            // Rank-k traffic at logical dims: op(A) packs once per
-            // orientation, n x k each way — the driver's (m*k + k*n)
-            // formula at m = n.
-            let (n, k) = op_a.dims(a.rows(), a.cols());
-            let mode = precision.mode();
-            let bytes = gemm_operand_bytes(n, k, n, mode);
-            settle_gemm_outcome(shard, req, reply, mode, bytes, wait_ns, out, faults, times);
-        }
-        Work::HerkC32 {
-            tri,
-            op_a,
-            a,
-            alpha,
-            beta,
-            c,
-            reply,
-        } => {
-            let (out, faults, times) = run_hedged(shard, |ctx| {
-                ctx.try_herk_c32_faulted(*tri, *op_a, a, *alpha, *beta, c)
-            });
-            let (n, k) = op_a.dims(a.rows(), a.cols());
-            let bytes = gemm_operand_bytes(n, k, n, MxuMode::M3xuFp32c);
-            settle_gemm_outcome(
-                shard,
-                req,
-                reply,
-                MxuMode::M3xuFp32c,
-                bytes,
-                wait_ns,
-                out,
-                faults,
-                times,
-            );
-        }
-        Work::SymmF32 {
-            precision,
-            side,
-            tri,
-            a,
-            b,
-            alpha,
-            beta,
-            c,
-            reply,
-        } => {
-            let (out, faults, times) = run_hedged(shard, |ctx| {
-                ctx.try_symm_f32_faulted(*precision, *side, *tri, a, b, *alpha, *beta, c)
-            });
-            // The expanded square operand is read in full on its side.
-            let nsq = a.rows();
-            let mode = precision.mode();
-            let bytes = match side {
-                Side::Left => gemm_operand_bytes(nsq, nsq, b.cols(), mode),
-                Side::Right => gemm_operand_bytes(b.rows(), nsq, nsq, mode),
-            };
-            settle_gemm_outcome(shard, req, reply, mode, bytes, wait_ns, out, faults, times);
-        }
-        Work::HemmC32 {
-            side,
-            tri,
-            a,
-            b,
-            alpha,
-            beta,
-            c,
-            reply,
-        } => {
-            let (out, faults, times) = run_hedged(shard, |ctx| {
-                ctx.try_hemm_c32_faulted(*side, *tri, a, b, *alpha, *beta, c)
-            });
-            let nsq = a.rows();
-            let bytes = match side {
-                Side::Left => gemm_operand_bytes(nsq, nsq, b.cols(), MxuMode::M3xuFp32c),
-                Side::Right => gemm_operand_bytes(b.rows(), nsq, nsq, MxuMode::M3xuFp32c),
-            };
-            settle_gemm_outcome(
-                shard,
-                req,
-                reply,
-                MxuMode::M3xuFp32c,
-                bytes,
-                wait_ns,
-                out,
-                faults,
-                times,
-            );
-        }
-        Work::Fft { x, reply } => {
             // The FFT's internal CGEMMs run checked (and are retried and
             // hedged here on FaultDetected), but their summaries stay
             // context-level: the tenant-facing summary of an FFT is zero
-            // by design.
-            let (out, _, times) = run_hedged(shard, |ctx| {
-                ctx.try_gemm_fft(x).map(|y| (y, FaultSummary::default()))
+            // by design. FP32C is its only engine, so a precision dial
+            // setting is a typed mismatch, not a silent FP32C run.
+            let (out, faults, times) = run_hedged(shard, |ctx| match precision {
+                Some(p) => Err(M3xuError::ModeMismatch {
+                    context: "fft",
+                    got: p.mode(),
+                }),
+                None => ctx.try_gemm_fft(x).map(|y| (y, FaultSummary::default())),
             });
-            match out {
-                Ok((y, stats)) => {
-                    shard.cost.observe(times.exec_ns, tiles);
-                    settle_success(core, req);
-                    // FFT operand traffic is internal to its CGEMM
-                    // decomposition; it is visible in the context's
-                    // ExecStats but not attributed per tenant.
-                    if settle_post_deadline(
-                        req,
-                        |e| drop(reply.try_send(Err(e))),
-                        MxuMode::M3xuFp32c,
-                        &stats,
-                        0,
-                        wait_ns,
-                        times,
-                    ) {
-                        return;
-                    }
-                    req.tenant.record_completed(
-                        MxuMode::M3xuFp32c,
-                        &stats,
-                        0,
-                        wait_ns,
-                        times.exec_ns,
-                        times.retry_ns,
-                    );
-                    drop(reply.try_send(Ok((y, stats))));
-                }
-                Err(e) => {
-                    req.tenant
-                        .record_exec_error(wait_ns, times.exec_ns, times.retry_ns);
-                    settle_failure(core, req, &e);
-                    drop(reply.try_send(Err(e.into())));
-                }
-            }
+            // FFT operand traffic is internal to its CGEMM decomposition;
+            // it is visible in the context's ExecStats but not attributed
+            // per tenant.
+            let out = out.map(|(y, stats)| {
+                let bill = Bill {
+                    mode: MxuMode::M3xuFp32c,
+                    stats,
+                    operand_bytes: 0,
+                };
+                ((y, stats), bill)
+            });
+            settle_outcome(shard, req, wait_ns, reply, (out, faults, times));
         }
         Work::Chaos { kind, reply } => match kind {
             ChaosKind::Panic => panic!("chaos: poison request"),
@@ -1018,7 +727,7 @@ fn execute_inner(shard: &ShardCore, req: &Request) {
                 settle_success(core, req);
                 req.tenant.record_completed(
                     MxuMode::M3xuFp32,
-                    &m3xu_mxu::mma::MmaStats::default(),
+                    &MmaStats::default(),
                     0,
                     wait_ns,
                     0,
@@ -1031,45 +740,53 @@ fn execute_inner(shard: &ShardCore, req: &Request) {
     }
 }
 
-/// The shared tail of every `Work` arm whose result is a
-/// [`GemmResult`]: absorb fault telemetry, feed the cost model,
-/// classify completed vs post-deadline, attribute the executed work to
-/// the tenant, and resolve the ticket — byte-for-byte the same
-/// settlement sequence as the original GEMM arms, so per-tenant
-/// reconciliation holds across the whole BLAS-3 surface.
-#[allow(clippy::too_many_arguments)]
-fn settle_gemm_outcome<T>(
+/// The one GEMM-family arm, whatever the call's op and element type: run
+/// it on the shard's context under the retry/hedge policy, bill it at
+/// its resolved mode and rule-(c) traffic, and settle.
+pub(crate) fn execute_gemm<E: Blas3Elem>(
     shard: &ShardCore,
     req: &Request,
-    reply: &SyncSender<Result<GemmResult<T>, ServeError>>,
-    mode: MxuMode,
-    operand_bytes: u64,
     wait_ns: u64,
-    out: Result<GemmResult<T>, M3xuError>,
-    faults: FaultSummary,
-    times: AttemptTimes,
+    call: &Blas3Call<Matrix<E>>,
+    reply: &SyncSender<Result<GemmResult<E>, ServeError>>,
+) {
+    let (out, faults, times) = run_hedged(shard, |ctx| ctx.run(call));
+    // A call that ran has resolved its mode.
+    let out = out.and_then(|res| {
+        let bill = Bill {
+            mode: call.mode()?,
+            stats: res.stats,
+            operand_bytes: call.operand_bytes(),
+        };
+        Ok((res, bill))
+    });
+    settle_outcome(shard, req, wait_ns, reply, (out, faults, times));
+}
+
+/// The shared tail of every executing arm: absorb fault telemetry, feed
+/// the cost model, classify completed vs post-deadline, attribute the
+/// executed work to the tenant, and resolve the ticket — one settlement
+/// sequence, so per-tenant reconciliation holds across every operation.
+fn settle_outcome<T>(
+    shard: &ShardCore,
+    req: &Request,
+    wait_ns: u64,
+    reply: &SyncSender<Result<T, ServeError>>,
+    (out, faults, times): (Result<(T, Bill), M3xuError>, FaultSummary, AttemptTimes),
 ) {
     let core = &*shard.shared;
     req.tenant.record_faults(&faults);
     match out {
-        Ok(res) => {
+        Ok((res, bill)) => {
             shard.cost.observe(times.exec_ns, req.work.output_tiles());
             settle_success(core, req);
-            if settle_post_deadline(
-                req,
-                |e| drop(reply.try_send(Err(e))),
-                mode,
-                &res.stats,
-                operand_bytes,
-                wait_ns,
-                times,
-            ) {
+            if settle_post_deadline(req, |e| drop(reply.try_send(Err(e))), &bill, wait_ns, times) {
                 return;
             }
             req.tenant.record_completed(
-                mode,
-                &res.stats,
-                operand_bytes,
+                bill.mode,
+                &bill.stats,
+                bill.operand_bytes,
                 wait_ns,
                 times.exec_ns,
                 times.retry_ns,

@@ -5,7 +5,7 @@
 
 use m3xu_kernels::gemm::{self, GemmPrecision};
 use m3xu_mxu::matrix::Matrix;
-use m3xu_serve::{M3xuServe, ServeConfig, ServeError, SubmitOpts, C32};
+use m3xu_serve::{Blas3Call, M3xuServe, ServeConfig, ServeError, SubmitOpts, C32};
 use std::time::Duration;
 
 fn assert_bits_f32(got: &Matrix<f32>, want: &Matrix<f32>, what: &str) {
@@ -65,14 +65,12 @@ fn served_gemm_bit_identical_on_both_scheduler_paths() {
                 GemmPrecision::Bf16,
             ] {
                 let got = serve
-                    .blocking_gemm_f32(
+                    .submit(
                         "t",
-                        precision,
-                        a.clone(),
-                        b.clone(),
-                        c.clone(),
+                        Blas3Call::gemm(a.clone(), b.clone(), c.clone()).with_precision(precision),
                         SubmitOpts::default(),
                     )
+                    .and_then(|t| t.wait())
                     .unwrap();
                 let want = gemm::baseline::gemm_f32(precision, &a, &b, &c);
                 assert_bits_f32(
@@ -94,7 +92,12 @@ fn served_cgemm_bit_identical_to_baseline() {
         let b = Matrix::random_c32(k, n, 5);
         let c = Matrix::random_c32(m, n, 6);
         let got = serve
-            .blocking_cgemm_c32("t", a.clone(), b.clone(), c.clone(), SubmitOpts::default())
+            .submit(
+                "t",
+                Blas3Call::gemm(a.clone(), b.clone(), c.clone()),
+                SubmitOpts::default(),
+            )
+            .and_then(|t| t.wait())
             .unwrap();
         let want = gemm::baseline::cgemm_c32(&a, &b, &c);
         assert_bits_c32(&got.d, &want.d, &format!("{m}x{k}x{n} FP32C"));
@@ -113,7 +116,8 @@ fn served_fft_matches_direct_context() {
         })
         .collect();
     let (got, got_stats) = serve
-        .blocking_fft("t", x.clone(), SubmitOpts::default())
+        .submit_fft("t", x.clone(), SubmitOpts::default())
+        .and_then(|t| t.wait())
         .unwrap();
     let (want, want_stats) = M3xuContext::with_threads(2).try_gemm_fft(&x).unwrap();
     assert_eq!(got_stats, want_stats);
@@ -210,17 +214,20 @@ fn expired_deadline_rejects_without_executing() {
     assert_eq!(t.completed, 0);
     // A generous deadline sails through.
     let ok = serve
-        .blocking_gemm_f32(
+        .submit(
             "dl",
-            GemmPrecision::M3xuFp32,
-            Matrix::random(16, 16, 1),
-            Matrix::random(16, 16, 2),
-            Matrix::zeros(16, 16),
+            Blas3Call::gemm(
+                Matrix::random(16, 16, 1),
+                Matrix::random(16, 16, 2),
+                Matrix::zeros(16, 16),
+            )
+            .with_precision(GemmPrecision::M3xuFp32),
             SubmitOpts {
                 deadline: Some(Duration::from_secs(300)),
                 ..SubmitOpts::default()
             },
         )
+        .and_then(|t| t.wait())
         .unwrap();
     assert_eq!(ok.d.rows(), 16);
 }
@@ -254,7 +261,7 @@ fn blocking_submit_applies_backpressure_then_completes() {
             SubmitOpts::default(),
         )
         .unwrap();
-    // The queue is full: submit_gemm_f32 must wait for space, then land.
+    // The queue is full: submit must wait for space, then land.
     let a = Matrix::<f32>::random(9, 7, 5);
     let b = Matrix::<f32>::random(7, 11, 6);
     let c = Matrix::<f32>::random(9, 11, 7);
@@ -262,14 +269,13 @@ fn blocking_submit_applies_backpressure_then_completes() {
     let got = std::thread::scope(|s| {
         s.spawn(|| {
             serve
-                .blocking_gemm_f32(
+                .submit(
                     "bp",
-                    GemmPrecision::M3xuFp32,
-                    a.clone(),
-                    b.clone(),
-                    c.clone(),
+                    Blas3Call::gemm(a.clone(), b.clone(), c.clone())
+                        .with_precision(GemmPrecision::M3xuFp32),
                     SubmitOpts::default(),
                 )
+                .and_then(|t| t.wait())
                 .unwrap()
         })
         .join()
@@ -285,14 +291,17 @@ fn blocking_submit_applies_backpressure_then_completes() {
 fn kernel_errors_pass_through_typed() {
     let serve = M3xuServe::with_workers(1);
     let err = serve
-        .blocking_gemm_f32(
+        .submit(
             "oops",
-            GemmPrecision::M3xuFp32,
-            Matrix::random(4, 4, 1),
-            Matrix::random(5, 4, 2), // k mismatch
-            Matrix::zeros(4, 4),
+            Blas3Call::gemm(
+                Matrix::random(4, 4, 1),
+                Matrix::random(5, 4, 2), // k mismatch
+                Matrix::zeros(4, 4),
+            )
+            .with_precision(GemmPrecision::M3xuFp32),
             SubmitOpts::default(),
         )
+        .and_then(|t| t.wait())
         .unwrap_err();
     assert!(matches!(err, ServeError::Exec(_)), "got {err:?}");
     let t = serve.tenant_stats("oops").unwrap();
@@ -360,24 +369,30 @@ fn tenant_accounting_reconciles_with_context_stats() {
     ];
     for &(tenant, precision, m, k, n) in &plans {
         serve
-            .blocking_gemm_f32(
+            .submit(
                 tenant,
-                precision,
-                Matrix::random(m, k, 1),
-                Matrix::random(k, n, 2),
-                Matrix::zeros(m, n),
+                Blas3Call::gemm(
+                    Matrix::random(m, k, 1),
+                    Matrix::random(k, n, 2),
+                    Matrix::zeros(m, n),
+                )
+                .with_precision(precision),
                 SubmitOpts::default(),
             )
+            .and_then(|t| t.wait())
             .unwrap();
     }
     serve
-        .blocking_cgemm_c32(
+        .submit(
             "carol",
-            Matrix::random_c32(8, 4, 3),
-            Matrix::random_c32(4, 8, 4),
-            Matrix::random_c32(8, 8, 5),
+            Blas3Call::gemm(
+                Matrix::random_c32(8, 4, 3),
+                Matrix::random_c32(4, 8, 4),
+                Matrix::random_c32(8, 8, 5),
+            ),
             SubmitOpts::default(),
         )
+        .and_then(|t| t.wait())
         .unwrap();
     // Quiesced: tenant totals must reproduce the shared context's counters.
     let totals = serve.total_stats();
@@ -417,14 +432,13 @@ fn concurrent_clients_share_one_service_bit_identically() {
                     let b = Matrix::<f32>::random(k, n, seed + 1);
                     let c = Matrix::<f32>::random(m, n, seed + 2);
                     let got = serve
-                        .blocking_gemm_f32(
+                        .submit(
                             &format!("client-{client}"),
-                            GemmPrecision::M3xuFp32,
-                            a.clone(),
-                            b.clone(),
-                            c.clone(),
+                            Blas3Call::gemm(a.clone(), b.clone(), c.clone())
+                                .with_precision(GemmPrecision::M3xuFp32),
                             SubmitOpts::default(),
                         )
+                        .and_then(|t| t.wait())
                         .unwrap();
                     let want = gemm::baseline::gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
                     assert_bits_f32(&got.d, &want.d, &format!("client {client} round {round}"));

@@ -123,6 +123,24 @@ awk '
     END { if (!found) { print "FAIL: no wall_speedup in results/BENCH_serve.json"; exit 1 } }
 ' results/BENCH_serve.json
 
+# Benchmark gate (release): perfbench is a workspace of its own, so the
+# workspace builds above never compile it. Build it against the current
+# crates, then run each workload for 2 s with the rates BENCHMARK.json
+# pins; the last stdout line of each run must report "correct": true.
+echo "== perfbench build + 2 s smoke of every workload (release)"
+cargo build --release --manifest-path perfbench/Cargo.toml
+for workload in kernel-dial kernel-abft serve-openloop; do
+    echo "== perfbench ${workload} (--seed 1 --seconds 2 --trace 0)"
+    last=$(cargo run --release --quiet --manifest-path perfbench/Cargo.toml -- \
+        --steady-rps 700 --overload-rps 2900 \
+        --workload "${workload}" --seed 1 --seconds 2 --trace 0 | tail -n 1)
+    if [[ "${last}" != *'"correct": true'* ]]; then
+        echo "FAIL: perfbench ${workload}: ${last}"
+        exit 1
+    fi
+    echo "perfbench ${workload}: correct"
+done
+
 # Precision gate (release): the emulated-FP64 engine must stay inside
 # its documented ULP envelope versus a sequential correctly-rounded
 # softfloat FMA reference. The envelope is pinned at zero ULPs

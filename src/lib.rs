@@ -25,8 +25,8 @@ pub use m3xu_serve as serve;
 pub use m3xu_synth as synth;
 
 pub use m3xu_core::{
-    default_context, Complex, ExecStats, GemmExecutor, GemmPrecision, M3xu, M3xuContext, M3xuError,
-    MatOp, Matrix, MirrorView, OpView, Side, Triangle, C32,
+    default_context, Blas3Call, Complex, ExecStats, GemmExecutor, GemmPrecision, M3xu, M3xuContext,
+    M3xuError, MatOp, Matrix, MirrorView, OpView, Side, Triangle, C32,
 };
 pub use m3xu_serve::{
     BatchPolicy, M3xuServe, ModeUsage, Priority, RateLimit, ServeConfig, ServeError, SubmitOpts,

@@ -1,7 +1,8 @@
 //! Differential oracle suite for the BLAS-3 surface: every entry point
 //! the workspace offers for `op(X)`/alpha/beta GEMM, SYMM/HEMM, and the
-//! triangular rank-k updates — the `blas3` free functions, a private
-//! [`M3xuContext`] at several thread counts, and the `m3xu-serve`
+//! triangular rank-k updates — a [`Blas3Call`] on the process-wide
+//! default context, a private [`M3xuContext`] at several thread counts,
+//! and the `m3xu-serve`
 //! scheduler (batched and sharded) — must produce output **bit-identical**
 //! to a naive prefolded reference:
 //!
@@ -20,8 +21,9 @@
 //!   real.
 //! * SYMM/HEMM are checked against the oracle run on the materialized
 //!   [`MirrorView`] expansion.
-//! * The plain `D = A·B + C` entry points (context methods, the pool-only
-//!   `*_on` forms, an armed [`FaultyExecutor`]) must equal op-GEMM at
+//! * The plain `D = A·B + C` entry points (context methods on the
+//!   default and on explicit pools, an armed [`FaultyExecutor`]) must
+//!   equal op-GEMM at
 //!   `op = (N, N)`, `alpha = beta = 1` in bits and in counted stats,
 //!   unarmed and on a zero-rate armed context.
 //!
@@ -32,9 +34,9 @@
 //! — cycled per (case, op-pair, engine) so every pair of the 5x5 grid is
 //! exercised across the run.
 
-use m3xu::kernels::blas3;
 use m3xu::kernels::gemm::{self, GemmPrecision};
-use m3xu::kernels::{ExecStats, FaultPlan, FaultyExecutor, GemmExecutor, M3xuContext, WorkerPool};
+use m3xu::kernels::{default_context, Blas3Call};
+use m3xu::kernels::{ExecStats, FaultPlan, FaultyExecutor, GemmExecutor, M3xuContext};
 use m3xu::serve::{BatchPolicy, M3xuServe, ServeConfig, SubmitOpts};
 use m3xu::{MatOp, Matrix, MirrorView, Side, Triangle, C32};
 use std::sync::Arc;
@@ -224,7 +226,9 @@ fn oracle_f32(
     c: &Matrix<f32>,
 ) -> gemm::GemmResult<f32> {
     match precision {
-        GemmPrecision::Fp32Fast => M3xuContext::with_threads(1).gemm_f32(precision, a, b, c),
+        GemmPrecision::Fp32Fast => M3xuContext::with_threads(1)
+            .try_gemm_f32(precision, a, b, c)
+            .unwrap(),
         _ => gemm::baseline::gemm_f32(precision, a, b, c),
     }
 }
@@ -329,13 +333,21 @@ fn real_op_gemm_all_engines_all_ops_all_paths_match_prefolded_oracle_bits() {
                 };
 
                 // Path 1: the free-function pipeline.
-                let free = blas3::gemm_op_f32(precision, op_a, &a, op_b, &b, alpha, beta, &c);
-                assert_bits_f32(&free.d, &want.d, &tag("free fn"));
-                assert_eq!(free.stats, want.stats, "{}", tag("free fn"));
+                let free = default_context()
+                    .run(
+                        &Blas3Call::gemm_op(op_a, &a, op_b, &b, alpha, beta, &c)
+                            .with_precision(precision),
+                    )
+                    .unwrap()
+                    .0;
+                assert_bits_f32(&free.d, &want.d, &tag("default ctx"));
+                assert_eq!(free.stats, want.stats, "{}", tag("default ctx"));
 
                 // Path 2: a private context, thread count cycled.
                 let (t, ctx) = &ctxs[(case + oi) % ctxs.len()];
-                let r = ctx.gemm_op_f32(precision, op_a, &a, op_b, &b, alpha, beta, &c);
+                let r = ctx
+                    .try_gemm_op_f32(precision, op_a, &a, op_b, &b, alpha, beta, &c)
+                    .unwrap();
                 assert_bits_f32(&r.d, &want.d, &tag(&format!("ctx[{t}]")));
                 assert_eq!(r.stats, want.stats, "{}", tag(&format!("ctx[{t}]")));
 
@@ -344,18 +356,21 @@ fn real_op_gemm_all_engines_all_ops_all_paths_match_prefolded_oracle_bits() {
                 if oi == case % pairs.len() {
                     for (label, serve) in &serves {
                         let r = serve
-                            .blocking_gemm_op_f32(
+                            .submit(
                                 "prop",
-                                precision,
-                                op_a,
-                                a.clone(),
-                                op_b,
-                                b.clone(),
-                                alpha,
-                                beta,
-                                c.clone(),
+                                Blas3Call::gemm_op(
+                                    op_a,
+                                    a.clone(),
+                                    op_b,
+                                    b.clone(),
+                                    alpha,
+                                    beta,
+                                    c.clone(),
+                                )
+                                .with_precision(precision),
                                 SubmitOpts::default(),
                             )
+                            .and_then(|t| t.wait())
                             .unwrap();
                         let path = format!("serve[{label}]");
                         assert_bits_f32(&r.d, &want.d, &tag(&path));
@@ -395,29 +410,38 @@ fn complex_op_gemm_all_ops_all_paths_match_prefolded_oracle_bits() {
                 format!("case {case} {m}x{k}x{n} FP32C op=({op_a:?},{op_b:?}) via {path}")
             };
 
-            let free = blas3::cgemm_op_c32(op_a, &a, op_b, &b, alpha, beta, &c);
-            assert_bits_c32(&free.d, &want.d, &tag("free fn"));
-            assert_eq!(free.stats, want.stats, "{}", tag("free fn"));
+            let free = default_context()
+                .run(&Blas3Call::gemm_op(op_a, &a, op_b, &b, alpha, beta, &c))
+                .unwrap()
+                .0;
+            assert_bits_c32(&free.d, &want.d, &tag("default ctx"));
+            assert_eq!(free.stats, want.stats, "{}", tag("default ctx"));
 
             let (t, ctx) = &ctxs[(case + oi) % ctxs.len()];
-            let r = ctx.cgemm_op_c32(op_a, &a, op_b, &b, alpha, beta, &c);
+            let r = ctx
+                .run(&Blas3Call::gemm_op(op_a, &a, op_b, &b, alpha, beta, &c))
+                .unwrap()
+                .0;
             assert_bits_c32(&r.d, &want.d, &tag(&format!("ctx[{t}]")));
             assert_eq!(r.stats, want.stats, "{}", tag(&format!("ctx[{t}]")));
 
             if oi == case % pairs.len() {
                 for (label, serve) in &serves {
                     let r = serve
-                        .blocking_cgemm_op_c32(
+                        .submit(
                             "prop",
-                            op_a,
-                            a.clone(),
-                            op_b,
-                            b.clone(),
-                            alpha,
-                            beta,
-                            c.clone(),
+                            Blas3Call::gemm_op(
+                                op_a,
+                                a.clone(),
+                                op_b,
+                                b.clone(),
+                                alpha,
+                                beta,
+                                c.clone(),
+                            ),
                             SubmitOpts::default(),
                         )
+                        .and_then(|t| t.wait())
                         .unwrap();
                     let path = format!("serve[{label}]");
                     assert_bits_c32(&r.d, &want.d, &tag(&path));
@@ -456,26 +480,28 @@ fn fp64_op_gemm_all_ops_match_prefolded_single_thread_oracle_bits() {
             let a_eff = fold_alpha_f64(alpha, &op_f64(op_a, &a));
             let b_eff = op_f64(op_b, &b);
             let c_eff = fold_beta_f64(beta, &c);
-            let want = oracle.gemm_f64(GemmPrecision::Fp64Emulated, &a_eff, &b_eff, &c_eff);
+            let want = oracle
+                .try_gemm_f64(GemmPrecision::Fp64Emulated, &a_eff, &b_eff, &c_eff)
+                .unwrap();
             let tag = |path: &str| {
                 format!("case {case} {m}x{k}x{n} Fp64Emulated op=({op_a:?},{op_b:?}) via {path}")
             };
 
-            let free = blas3::gemm_op_f64(op_a, &a, op_b, &b, alpha, beta, &c);
-            assert_bits_f64(&free.d, &want.d, &tag("free fn"));
-            assert_eq!(free.stats, want.stats, "{}", tag("free fn"));
+            let free = default_context()
+                .run(&Blas3Call::gemm_op(op_a, &a, op_b, &b, alpha, beta, &c))
+                .unwrap()
+                .0;
+            assert_bits_f64(&free.d, &want.d, &tag("default ctx"));
+            assert_eq!(free.stats, want.stats, "{}", tag("default ctx"));
 
             let (t, ctx) = &ctxs[(case + oi) % ctxs.len()];
-            let r = ctx.gemm_op_f64(
-                GemmPrecision::Fp64Emulated,
-                op_a,
-                &a,
-                op_b,
-                &b,
-                alpha,
-                beta,
-                &c,
-            );
+            let r = ctx
+                .run(
+                    &Blas3Call::gemm_op(op_a, &a, op_b, &b, alpha, beta, &c)
+                        .with_precision(GemmPrecision::Fp64Emulated),
+                )
+                .unwrap()
+                .0;
             assert_bits_f64(&r.d, &want.d, &tag(&format!("ctx[{t}]")));
             assert_eq!(r.stats, want.stats, "{}", tag(&format!("ctx[{t}]")));
         }
@@ -535,28 +561,29 @@ fn syrk_matches_oracle_in_triangle_and_preserves_canary_bits() {
                     )
                 };
 
-                let free = blas3::syrk_f32(precision, tri, op_a, &a, alpha, beta, &c);
-                assert_bits_f32(&free.d, &want, &tag("free fn"));
+                let free = default_context()
+                    .run(&Blas3Call::syrk(tri, op_a, &a, alpha, beta, &c).with_precision(precision))
+                    .unwrap()
+                    .0;
+                assert_bits_f32(&free.d, &want, &tag("default ctx"));
 
                 let (t, ctx) = &ctxs[(case + pi) % ctxs.len()];
-                let r = ctx.syrk_f32(precision, tri, op_a, &a, alpha, beta, &c);
+                let r = ctx
+                    .try_syrk_f32(precision, tri, op_a, &a, alpha, beta, &c)
+                    .unwrap();
                 assert_bits_f32(&r.d, &want, &tag(&format!("ctx[{t}]")));
                 assert_eq!(r.stats, free.stats, "{}", tag(&format!("ctx[{t}]")));
 
                 if (case + ti + pi) % 4 == 0 {
                     for (label, serve) in &serves {
                         let r = serve
-                            .blocking_syrk_f32(
+                            .submit(
                                 "prop",
-                                precision,
-                                tri,
-                                op_a,
-                                a.clone(),
-                                alpha,
-                                beta,
-                                c.clone(),
+                                Blas3Call::syrk(tri, op_a, a.clone(), alpha, beta, c.clone())
+                                    .with_precision(precision),
                                 SubmitOpts::default(),
                             )
+                            .and_then(|t| t.wait())
                             .unwrap();
                         let path = format!("serve[{label}]");
                         assert_bits_f32(&r.d, &want, &tag(&path));
@@ -632,35 +659,34 @@ fn herk_matches_oracle_with_real_diagonal_and_canary_triangle() {
                     )
                 };
 
-                let free = blas3::herk_c32(tri, op_a, &a, alpha, beta, &c);
-                assert_bits_c32(&free.d, &want, &tag("free fn"));
+                let free = default_context()
+                    .run(&Blas3Call::herk(tri, op_a, &a, alpha, beta, &c))
+                    .unwrap()
+                    .0;
+                assert_bits_c32(&free.d, &want, &tag("default ctx"));
                 for i in 0..n {
                     assert_eq!(
                         free.d.get(i, i).im.to_bits(),
                         0.0f32.to_bits(),
                         "{}: diagonal {i} must be exactly real (+0.0 imaginary)",
-                        tag("free fn")
+                        tag("default ctx")
                     );
                 }
 
                 let (t, ctx) = &ctxs[(case + pi) % ctxs.len()];
-                let r = ctx.herk_c32(tri, op_a, &a, alpha, beta, &c);
+                let r = ctx.try_herk_c32(tri, op_a, &a, alpha, beta, &c).unwrap();
                 assert_bits_c32(&r.d, &want, &tag(&format!("ctx[{t}]")));
                 assert_eq!(r.stats, free.stats, "{}", tag(&format!("ctx[{t}]")));
 
                 if (case + ti + pi) % 4 == 0 {
                     for (label, serve) in &serves {
                         let r = serve
-                            .blocking_herk_c32(
+                            .submit(
                                 "prop",
-                                tri,
-                                op_a,
-                                a.clone(),
-                                alpha,
-                                beta,
-                                c.clone(),
+                                Blas3Call::herk(tri, op_a, a.clone(), alpha, beta, c.clone()),
                                 SubmitOpts::default(),
                             )
+                            .and_then(|t| t.wait())
                             .unwrap();
                         let path = format!("serve[{label}]");
                         assert_bits_c32(&r.d, &want, &tag(&path));
@@ -710,12 +736,20 @@ fn symm_and_hemm_match_mirror_materialized_oracle_bits() {
                     format!("case {case} SYMM n={nsq} {side:?} {tri:?} {precision:?} via {path}")
                 };
 
-                let free = blas3::symm_f32(precision, side, tri, &a, &b, alpha, beta, &c);
-                assert_bits_f32(&free.d, &want.d, &tag("free fn"));
-                assert_eq!(free.stats, want.stats, "{}", tag("free fn"));
+                let free = default_context()
+                    .run(
+                        &Blas3Call::symm(side, tri, &a, &b, alpha, beta, &c)
+                            .with_precision(precision),
+                    )
+                    .unwrap()
+                    .0;
+                assert_bits_f32(&free.d, &want.d, &tag("default ctx"));
+                assert_eq!(free.stats, want.stats, "{}", tag("default ctx"));
 
                 let (t, ctx) = &ctxs[(case + si + ti) % ctxs.len()];
-                let r = ctx.symm_f32(precision, side, tri, &a, &b, alpha, beta, &c);
+                let r = ctx
+                    .try_symm_f32(precision, side, tri, &a, &b, alpha, beta, &c)
+                    .unwrap();
                 assert_bits_f32(&r.d, &want.d, &tag(&format!("ctx[{t}]")));
 
                 // HEMM on the same geometry.
@@ -736,41 +770,52 @@ fn symm_and_hemm_match_mirror_materialized_oracle_bits() {
                 );
                 let ztag =
                     |path: &str| format!("case {case} HEMM n={nsq} {side:?} {tri:?} via {path}");
-                let zfree = blas3::hemm_c32(side, tri, &za, &zb, zalpha, zbeta, &zc);
-                assert_bits_c32(&zfree.d, &zwant.d, &ztag("free fn"));
-                assert_eq!(zfree.stats, zwant.stats, "{}", ztag("free fn"));
-                let zr2 = ctx.hemm_c32(side, tri, &za, &zb, zalpha, zbeta, &zc);
+                let zfree = default_context()
+                    .run(&Blas3Call::hemm(side, tri, &za, &zb, zalpha, zbeta, &zc))
+                    .unwrap()
+                    .0;
+                assert_bits_c32(&zfree.d, &zwant.d, &ztag("default ctx"));
+                assert_eq!(zfree.stats, zwant.stats, "{}", ztag("default ctx"));
+                let zr2 = ctx
+                    .try_hemm_c32(side, tri, &za, &zb, zalpha, zbeta, &zc)
+                    .unwrap();
                 assert_bits_c32(&zr2.d, &zwant.d, &ztag(&format!("ctx[{t}]")));
 
                 if (case + si + ti) % 5 == 0 {
                     for (label, serve) in &serves {
                         let r = serve
-                            .blocking_symm_f32(
+                            .submit(
                                 "prop",
-                                precision,
-                                side,
-                                tri,
-                                a.clone(),
-                                b.clone(),
-                                alpha,
-                                beta,
-                                c.clone(),
+                                Blas3Call::symm(
+                                    side,
+                                    tri,
+                                    a.clone(),
+                                    b.clone(),
+                                    alpha,
+                                    beta,
+                                    c.clone(),
+                                )
+                                .with_precision(precision),
                                 SubmitOpts::default(),
                             )
+                            .and_then(|t| t.wait())
                             .unwrap();
                         assert_bits_f32(&r.d, &want.d, &tag(&format!("serve[{label}]")));
                         let zr3 = serve
-                            .blocking_hemm_c32(
+                            .submit(
                                 "prop",
-                                side,
-                                tri,
-                                za.clone(),
-                                zb.clone(),
-                                zalpha,
-                                zbeta,
-                                zc.clone(),
+                                Blas3Call::hemm(
+                                    side,
+                                    tri,
+                                    za.clone(),
+                                    zb.clone(),
+                                    zalpha,
+                                    zbeta,
+                                    zc.clone(),
+                                ),
                                 SubmitOpts::default(),
                             )
+                            .and_then(|t| t.wait())
                             .unwrap();
                         assert_bits_c32(&zr3.d, &zwant.d, &ztag(&format!("serve[{label}]")));
                     }
@@ -797,11 +842,12 @@ fn metered<T>(ctx: &M3xuContext, f: impl FnOnce() -> T) -> (T, ExecStats) {
 
 #[test]
 fn plain_entry_points_are_op_gemm_at_nn_with_unit_scalars() {
-    // The plain `D = A·B + C` entry points — context methods, pool-only
-    // `*_on` forms, and an armed `FaultyExecutor` — are op-GEMM at
-    // `op = (N, N)`, `alpha = beta = 1`: same bits, same counted stats,
-    // on an unarmed context and on one armed with a zero-rate plan.
-    let pool = WorkerPool::new(2);
+    // The plain `D = A·B + C` entry points — context methods (also on an
+    // explicit 2-thread pool), and an armed `FaultyExecutor` — are
+    // op-GEMM at `op = (N, N)`, `alpha = beta = 1`: same bits, same
+    // counted stats, on an unarmed context and on one armed with a
+    // zero-rate plan.
+    let pool = M3xuContext::with_threads(2);
     for (case, &(m, k, n)) in shapes().iter().enumerate() {
         for armed in [false, true] {
             let threads = THREAD_COUNTS[case % THREAD_COUNTS.len()];
@@ -837,8 +883,8 @@ fn plain_entry_points_are_op_gemm_at_nn_with_unit_scalars() {
                 assert_eq!(got.stats, want.stats, "{what}");
                 assert_eq!(got_d, want_d, "{what}");
 
-                let what = tag(&format!("{precision:?} gemm::try_gemm_f32_on"));
-                let got = gemm::try_gemm_f32_on(&pool, precision, &a, &b, &c).unwrap();
+                let what = tag(&format!("{precision:?} with_threads(2).try_gemm_f32"));
+                let got = pool.try_gemm_f32(precision, &a, &b, &c).unwrap();
                 assert_bits_f32(&got.d, &want.d, &what);
                 assert_eq!(got.stats, want.stats, "{what}");
             }
@@ -847,8 +893,17 @@ fn plain_entry_points_are_op_gemm_at_nn_with_unit_scalars() {
             let b = Matrix::random_c32(k, n, seed + 5);
             let c = Matrix::random_c32(m, n, seed + 6);
             let (want, want_d) = metered(&ctx, || {
-                ctx.try_cgemm_op_c32(MatOp::N, &a, MatOp::N, &b, C32::ONE, C32::ONE, &c)
-                    .unwrap()
+                ctx.run(&Blas3Call::gemm_op(
+                    MatOp::N,
+                    &a,
+                    MatOp::N,
+                    &b,
+                    C32::ONE,
+                    C32::ONE,
+                    &c,
+                ))
+                .unwrap()
+                .0
             });
             let what = tag("ctx.try_cgemm_c32");
             let (got, got_d) = metered(&ctx, || ctx.try_cgemm_c32(&a, &b, &c).unwrap());
@@ -862,8 +917,8 @@ fn plain_entry_points_are_op_gemm_at_nn_with_unit_scalars() {
             assert_eq!(got.stats, want.stats, "{what}");
             assert_eq!(got_d, want_d, "{what}");
 
-            let what = tag("gemm::try_cgemm_c32_on");
-            let got = gemm::try_cgemm_c32_on(&pool, &a, &b, &c).unwrap();
+            let what = tag("with_threads(2).try_cgemm_c32");
+            let got = pool.try_cgemm_c32(&a, &b, &c).unwrap();
             assert_bits_c32(&got.d, &want.d, &what);
             assert_eq!(got.stats, want.stats, "{what}");
 
@@ -872,8 +927,11 @@ fn plain_entry_points_are_op_gemm_at_nn_with_unit_scalars() {
             let c = Matrix::<f64>::random_f64(m, n, seed + 9);
             let p = GemmPrecision::Fp64Emulated;
             let (want, want_d) = metered(&ctx, || {
-                ctx.try_gemm_op_f64(p, MatOp::N, &a, MatOp::N, &b, 1.0, 1.0, &c)
-                    .unwrap()
+                ctx.run(
+                    &Blas3Call::gemm_op(MatOp::N, &a, MatOp::N, &b, 1.0, 1.0, &c).with_precision(p),
+                )
+                .unwrap()
+                .0
             });
             let what = tag("ctx.try_gemm_f64");
             let (got, got_d) = metered(&ctx, || ctx.try_gemm_f64(p, &a, &b, &c).unwrap());
@@ -881,8 +939,8 @@ fn plain_entry_points_are_op_gemm_at_nn_with_unit_scalars() {
             assert_eq!(got.stats, want.stats, "{what}");
             assert_eq!(got_d, want_d, "{what}");
 
-            let what = tag("gemm::try_gemm_f64_on");
-            let got = gemm::try_gemm_f64_on(&pool, p, &a, &b, &c).unwrap();
+            let what = tag("with_threads(2).try_gemm_f64");
+            let got = pool.try_gemm_f64(p, &a, &b, &c).unwrap();
             assert_bits_f64(&got.d, &want.d, &what);
             assert_eq!(got.stats, want.stats, "{what}");
         }

@@ -8,7 +8,7 @@
 //! contexts; this test pins the per-context resolution semantics.)
 
 use m3xu::kernels::gemm::{self, GemmPrecision};
-use m3xu::kernels::M3xuContext;
+use m3xu::kernels::{Blas3Call, M3xuContext};
 use m3xu::Matrix;
 
 #[test]
@@ -35,7 +35,7 @@ fn env_armed_context_recovers_bit_identically() {
     let mut detected = 0;
     for _ in 0..8 {
         let (r, summary) = ctx
-            .try_gemm_f32_faulted(GemmPrecision::M3xuFp32, &a, &b, &c)
+            .run(&Blas3Call::gemm(&a, &b, &c).with_precision(GemmPrecision::M3xuFp32))
             .expect("recoverable at 5%");
         for (x, y) in r.d.as_slice().iter().zip(want.d.as_slice()) {
             assert_eq!(x.to_bits(), y.to_bits());

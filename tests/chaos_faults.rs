@@ -19,7 +19,7 @@
 //! `scripts/check.sh` runs this whole suite under.
 
 use m3xu::kernels::gemm::{self, GemmPrecision, GemmResult};
-use m3xu::kernels::{FaultPlan, FaultSummary, FaultyExecutor, M3xuContext};
+use m3xu::kernels::{Blas3Call, FaultPlan, FaultSummary, FaultyExecutor, M3xuContext};
 use m3xu::serve::{BatchPolicy, ChaosKind, M3xuServe, ServeConfig, SubmitOpts};
 use m3xu::{M3xuError, MatOp, Matrix, ServeError, Side, Triangle, C32};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -99,7 +99,9 @@ fn unarmed_executor_is_bit_identical_with_zero_fault_counters() {
             ] {
                 let want = gemm::baseline::gemm_f32(precision, &a, &b, &c);
                 let tag = format!("unarmed {m}x{k}x{n} {precision:?} t={t}");
-                let (r, summary) = exec.try_gemm_f32_faulted(precision, &a, &b, &c).unwrap();
+                let (r, summary) = exec
+                    .run(&Blas3Call::gemm(&a, &b, &c).with_precision(precision))
+                    .unwrap();
                 assert_bits_f32(&r.d, &want.d, &tag);
                 assert_eq!(r.stats, want.stats, "{tag}");
                 assert_eq!(summary, Default::default(), "{tag}: summary must be zero");
@@ -109,7 +111,7 @@ fn unarmed_executor_is_bit_identical_with_zero_fault_counters() {
             let cc = Matrix::random_c32(m, n, case as u64 * 5 + 3);
             let want = gemm::baseline::cgemm_c32(&ca, &cb, &cc);
             let tag = format!("unarmed {m}x{k}x{n} FP32C t={t}");
-            let (r, summary) = exec.try_cgemm_c32_faulted(&ca, &cb, &cc).unwrap();
+            let (r, summary) = exec.run(&Blas3Call::gemm(&ca, &cb, &cc)).unwrap();
             assert_bits_c32(&r.d, &want.d, &tag);
             assert_eq!(r.stats, want.stats, "{tag}");
             assert_eq!(summary, Default::default(), "{tag}: summary must be zero");
@@ -143,7 +145,7 @@ fn armed_gemm_case(
     let b = Matrix::<f32>::random(k, n, case as u64 * 3 + 2);
     let c = Matrix::<f32>::random(m, n, case as u64 * 3 + 3);
     let tag = format!("armed seed={seed} rate={rate} {m}x{k}x{n}");
-    match exec.try_gemm_f32_faulted(GemmPrecision::M3xuFp32, &a, &b, &c) {
+    match exec.run(&Blas3Call::gemm(&a, &b, &c).with_precision(GemmPrecision::M3xuFp32)) {
         Ok((r, summary)) => {
             let want = gemm::baseline::gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
             assert_bits_f32(&r.d, &want.d, &tag);
@@ -209,7 +211,7 @@ fn armed_complex_gemm_sweep_recovers_bit_identically() {
             let b = Matrix::random_c32(k, n, case as u64 * 5 + 2);
             let c = Matrix::random_c32(m, n, case as u64 * 5 + 3);
             let tag = format!("armed rate={rate} {m}x{k}x{n} FP32C");
-            match exec.try_cgemm_c32_faulted(&a, &b, &c) {
+            match exec.run(&Blas3Call::gemm(&a, &b, &c)) {
                 Ok((r, summary)) => {
                     let want = gemm::baseline::cgemm_c32(&a, &b, &c);
                     assert_bits_c32(&r.d, &want.d, &tag);
@@ -237,7 +239,7 @@ fn saturated_plan_is_a_typed_error_and_leaves_the_context_usable() {
     let a = Matrix::<f32>::random(9, 7, 61);
     let b = Matrix::<f32>::random(7, 5, 62);
     let c = Matrix::<f32>::random(9, 5, 63);
-    match exec.try_gemm_f32_faulted(GemmPrecision::M3xuFp32, &a, &b, &c) {
+    match exec.run(&Blas3Call::gemm(&a, &b, &c).with_precision(GemmPrecision::M3xuFp32)) {
         Err(M3xuError::FaultDetected {
             op,
             mode,
@@ -260,7 +262,9 @@ fn saturated_plan_is_a_typed_error_and_leaves_the_context_usable() {
         other => panic!("rate-1.0 must fail detectably, got {other:?}"),
     }
     // The pool and context survive a saturated run intact.
-    let r = ctx.gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
+    let r = ctx
+        .try_gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c)
+        .unwrap();
     let want = gemm::baseline::gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
     assert_bits_f32(&r.d, &want.d, "post-saturation production GEMM");
 }
@@ -286,7 +290,9 @@ fn pool_survives_panicking_tasks_bit_identically() {
         let c = Matrix::<f32>::random(23, 31, 73);
         let want = gemm::baseline::gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
         for round in 0..2 {
-            let r = ctx.gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
+            let r = ctx
+                .try_gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c)
+                .unwrap();
             assert_bits_f32(&r.d, &want.d, &format!("t={t} round={round} after panic"));
         }
     }
@@ -317,12 +323,9 @@ fn serve_chaos_round(batching: BatchPolicy, shard_tiles: usize, shards: usize) {
         let c = Matrix::<f32>::random(m, n, case as u64 * 3 + 3);
         let want = gemm::baseline::gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
         let ticket = serve
-            .submit_gemm_f32(
+            .submit(
                 tenant,
-                GemmPrecision::M3xuFp32,
-                a,
-                b,
-                c,
+                Blas3Call::gemm(a, b, c).with_precision(GemmPrecision::M3xuFp32),
                 SubmitOpts::default(),
             )
             .unwrap();
@@ -333,7 +336,7 @@ fn serve_chaos_round(batching: BatchPolicy, shard_tiles: usize, shards: usize) {
         let cc = Matrix::random_c32(m, n, case as u64 * 5 + 3);
         let cwant = gemm::baseline::cgemm_c32(&ca, &cb, &cc);
         let ticket = serve
-            .submit_cgemm_c32(tenant, ca, cb, cc, SubmitOpts::default())
+            .submit(tenant, Blas3Call::gemm(ca, cb, cc), SubmitOpts::default())
             .unwrap();
         cgemm_tickets.push((case, ticket, cwant));
     }
@@ -405,14 +408,18 @@ fn serve_breaker_trips_per_tenant_and_counts_as_rejection() {
         ..ServeConfig::default()
     });
     let submit = |tenant: &str| {
-        serve.blocking_gemm_f32(
-            tenant,
-            GemmPrecision::M3xuFp32,
-            Matrix::<f32>::random(9, 7, 81),
-            Matrix::<f32>::random(7, 5, 82),
-            Matrix::<f32>::random(9, 5, 83),
-            SubmitOpts::default(),
-        )
+        serve
+            .submit(
+                tenant,
+                Blas3Call::gemm(
+                    Matrix::<f32>::random(9, 7, 81),
+                    Matrix::<f32>::random(7, 5, 82),
+                    Matrix::<f32>::random(9, 5, 83),
+                )
+                .with_precision(GemmPrecision::M3xuFp32),
+                SubmitOpts::default(),
+            )
+            .and_then(|t| t.wait())
     };
     for attempt in 0..2 {
         match submit("hot") {
@@ -461,14 +468,18 @@ fn serve_degraded_mode_still_serves_correctly() {
         degraded_after: 1,
         ..ServeConfig::default()
     });
-    let bad = serve.blocking_gemm_f32(
-        "t",
-        GemmPrecision::M3xuFp32,
-        Matrix::<f32>::random(9, 7, 91),
-        Matrix::<f32>::random(7, 5, 92),
-        Matrix::<f32>::random(9, 5, 93),
-        SubmitOpts::default(),
-    );
+    let bad = serve
+        .submit(
+            "t",
+            Blas3Call::gemm(
+                Matrix::<f32>::random(9, 7, 91),
+                Matrix::<f32>::random(7, 5, 92),
+                Matrix::<f32>::random(9, 5, 93),
+            )
+            .with_precision(GemmPrecision::M3xuFp32),
+            SubmitOpts::default(),
+        )
+        .and_then(|t| t.wait());
     assert!(
         matches!(bad, Err(ServeError::Exec(M3xuError::FaultDetected { .. }))),
         "saturated request must fail detectably, got {bad:?}"
@@ -484,7 +495,12 @@ fn serve_degraded_mode_still_serves_correctly() {
     let c = Matrix::<f32>::random(23, 31, 96);
     let want = gemm::baseline::gemm_f32(GemmPrecision::Bf16, &a, &b, &c);
     let r = serve
-        .blocking_gemm_f32("t", GemmPrecision::Bf16, a, b, c, SubmitOpts::default())
+        .submit(
+            "t",
+            Blas3Call::gemm(a, b, c).with_precision(GemmPrecision::Bf16),
+            SubmitOpts::default(),
+        )
+        .and_then(|t| t.wait())
         .expect("degraded-mode request must still be served");
     assert_bits_f32(&r.d, &want.d, "degraded-mode BF16 GEMM");
     let s = serve.tenant_stats("t").unwrap();
@@ -508,7 +524,8 @@ fn serve_fft_recovers_under_chaos() {
         ..ServeConfig::default()
     });
     let (y, _) = serve
-        .blocking_fft("fft", x, SubmitOpts::default())
+        .submit_fft("fft", x, SubmitOpts::default())
+        .and_then(|t| t.wait())
         .expect("served FFT under 2% chaos");
     assert_eq!(y.len(), want.len());
     for (i, (a, b)) in y.iter().zip(&want).enumerate() {
@@ -584,7 +601,10 @@ fn armed_blas3_and_f64_sweep_recovers_bit_identically() {
                     .try_gemm_op_f32(p, MatOp::T, &a, MatOp::N, &b, 0.75, -1.25, &c)
                     .unwrap();
                 faults_seen += check_armed_run(
-                    ctx.try_gemm_op_f32_faulted(p, MatOp::T, &a, MatOp::N, &b, 0.75, -1.25, &c),
+                    ctx.run(
+                        &Blas3Call::gemm_op(MatOp::T, &a, MatOp::N, &b, 0.75, -1.25, &c)
+                            .with_precision(p),
+                    ),
                     &want,
                     "gemm_op",
                     &format!("{tag} gemm_op"),
@@ -599,7 +619,9 @@ fn armed_blas3_and_f64_sweep_recovers_bit_identically() {
                     .try_gemm_f64(GemmPrecision::Fp64Emulated, &a, &b, &c)
                     .unwrap();
                 faults_seen += check_armed_run(
-                    ctx.try_gemm_f64_faulted(GemmPrecision::Fp64Emulated, &a, &b, &c),
+                    ctx.run(
+                        &Blas3Call::gemm(&a, &b, &c).with_precision(GemmPrecision::Fp64Emulated),
+                    ),
                     &want,
                     "gemm_f64",
                     &format!("{tag} gemm_f64"),
@@ -610,27 +632,16 @@ fn armed_blas3_and_f64_sweep_recovers_bit_identically() {
                 let bt = Matrix::<f64>::random_f64(n, k, salt + 7);
                 let c = Matrix::<f64>::random_f64(m, n, salt + 8);
                 let want = oracle
-                    .try_gemm_op_f64(
-                        GemmPrecision::Fp64Emulated,
-                        MatOp::N,
-                        &a,
-                        MatOp::T,
-                        &bt,
-                        1.5,
-                        0.5,
-                        &c,
+                    .run(
+                        &Blas3Call::gemm_op(MatOp::N, &a, MatOp::T, &bt, 1.5, 0.5, &c)
+                            .with_precision(GemmPrecision::Fp64Emulated),
                     )
-                    .unwrap();
+                    .unwrap()
+                    .0;
                 faults_seen += check_armed_run(
-                    ctx.try_gemm_op_f64_faulted(
-                        GemmPrecision::Fp64Emulated,
-                        MatOp::N,
-                        &a,
-                        MatOp::T,
-                        &bt,
-                        1.5,
-                        0.5,
-                        &c,
+                    ctx.run(
+                        &Blas3Call::gemm_op(MatOp::N, &a, MatOp::T, &bt, 1.5, 0.5, &c)
+                            .with_precision(GemmPrecision::Fp64Emulated),
                     ),
                     &want,
                     "gemm_op_f64",
@@ -645,7 +656,10 @@ fn armed_blas3_and_f64_sweep_recovers_bit_identically() {
                     .try_syrk_f32(p, Triangle::Lower, MatOp::N, &a, 0.5, 2.0, &c)
                     .unwrap();
                 faults_seen += check_armed_run(
-                    ctx.try_syrk_f32_faulted(p, Triangle::Lower, MatOp::N, &a, 0.5, 2.0, &c),
+                    ctx.run(
+                        &Blas3Call::syrk(Triangle::Lower, MatOp::N, &a, 0.5, 2.0, &c)
+                            .with_precision(p),
+                    ),
                     &want,
                     "syrk",
                     &format!("{tag} syrk"),
@@ -659,7 +673,14 @@ fn armed_blas3_and_f64_sweep_recovers_bit_identically() {
                     .try_herk_c32(Triangle::Upper, MatOp::N, &a, 0.75, -0.5, &c)
                     .unwrap();
                 faults_seen += check_armed_run(
-                    ctx.try_herk_c32_faulted(Triangle::Upper, MatOp::N, &a, 0.75, -0.5, &c),
+                    ctx.run(&Blas3Call::herk(
+                        Triangle::Upper,
+                        MatOp::N,
+                        &a,
+                        0.75,
+                        -0.5,
+                        &c,
+                    )),
                     &want,
                     "herk",
                     &format!("{tag} herk"),
@@ -674,15 +695,9 @@ fn armed_blas3_and_f64_sweep_recovers_bit_identically() {
                     .try_symm_f32(p, Side::Left, Triangle::Upper, &a, &b, -0.5, 1.25, &c)
                     .unwrap();
                 faults_seen += check_armed_run(
-                    ctx.try_symm_f32_faulted(
-                        p,
-                        Side::Left,
-                        Triangle::Upper,
-                        &a,
-                        &b,
-                        -0.5,
-                        1.25,
-                        &c,
+                    ctx.run(
+                        &Blas3Call::symm(Side::Left, Triangle::Upper, &a, &b, -0.5, 1.25, &c)
+                            .with_precision(p),
                     ),
                     &want,
                     "symm",
@@ -699,7 +714,15 @@ fn armed_blas3_and_f64_sweep_recovers_bit_identically() {
                     .try_hemm_c32(Side::Right, Triangle::Lower, &a, &b, alpha, beta, &c)
                     .unwrap();
                 faults_seen += check_armed_run(
-                    ctx.try_hemm_c32_faulted(Side::Right, Triangle::Lower, &a, &b, alpha, beta, &c),
+                    ctx.run(&Blas3Call::hemm(
+                        Side::Right,
+                        Triangle::Lower,
+                        &a,
+                        &b,
+                        alpha,
+                        beta,
+                        &c,
+                    )),
                     &want,
                     "hemm",
                     &format!("{tag} hemm"),
@@ -746,7 +769,11 @@ fn serve_blas3_round(shards: usize, seed: u64, rate: f64) -> u64 {
             .try_gemm_op_f32(p, MatOp::T, &a, MatOp::N, &b, 0.75, -1.25, &c)
             .unwrap();
         let t = serve
-            .submit_gemm_op_f32(tenant, p, MatOp::T, a, MatOp::N, b, 0.75, -1.25, c, opts())
+            .submit(
+                tenant,
+                Blas3Call::gemm_op(MatOp::T, a, MatOp::N, b, 0.75, -1.25, c).with_precision(p),
+                opts(),
+            )
             .unwrap();
         f32_waits.push((format!("case {case} gemm_op"), t, want));
 
@@ -756,7 +783,11 @@ fn serve_blas3_round(shards: usize, seed: u64, rate: f64) -> u64 {
             .try_syrk_f32(p, Triangle::Lower, MatOp::N, &a, 0.5, 2.0, &c)
             .unwrap();
         let t = serve
-            .submit_syrk_f32(tenant, p, Triangle::Lower, MatOp::N, a, 0.5, 2.0, c, opts())
+            .submit(
+                tenant,
+                Blas3Call::syrk(Triangle::Lower, MatOp::N, a, 0.5, 2.0, c).with_precision(p),
+                opts(),
+            )
             .unwrap();
         f32_waits.push((format!("case {case} syrk"), t, want));
 
@@ -767,16 +798,9 @@ fn serve_blas3_round(shards: usize, seed: u64, rate: f64) -> u64 {
             .try_symm_f32(p, Side::Left, Triangle::Upper, &a, &b, -0.5, 1.25, &c)
             .unwrap();
         let t = serve
-            .submit_symm_f32(
+            .submit(
                 tenant,
-                p,
-                Side::Left,
-                Triangle::Upper,
-                a,
-                b,
-                -0.5,
-                1.25,
-                c,
+                Blas3Call::symm(Side::Left, Triangle::Upper, a, b, -0.5, 1.25, c).with_precision(p),
                 opts(),
             )
             .unwrap();
@@ -788,7 +812,11 @@ fn serve_blas3_round(shards: usize, seed: u64, rate: f64) -> u64 {
             .try_herk_c32(Triangle::Upper, MatOp::N, &a, 0.75, -0.5, &c)
             .unwrap();
         let t = serve
-            .submit_herk_c32(tenant, Triangle::Upper, MatOp::N, a, 0.75, -0.5, c, opts())
+            .submit(
+                tenant,
+                Blas3Call::herk(Triangle::Upper, MatOp::N, a, 0.75, -0.5, c),
+                opts(),
+            )
             .unwrap();
         c32_waits.push((format!("case {case} herk"), t, want));
 
@@ -800,15 +828,9 @@ fn serve_blas3_round(shards: usize, seed: u64, rate: f64) -> u64 {
             .try_hemm_c32(Side::Right, Triangle::Lower, &a, &b, alpha, beta, &c)
             .unwrap();
         let t = serve
-            .submit_hemm_c32(
+            .submit(
                 tenant,
-                Side::Right,
-                Triangle::Lower,
-                a,
-                b,
-                alpha,
-                beta,
-                c,
+                Blas3Call::hemm(Side::Right, Triangle::Lower, a, b, alpha, beta, c),
                 opts(),
             )
             .unwrap();
@@ -820,7 +842,9 @@ fn serve_blas3_round(shards: usize, seed: u64, rate: f64) -> u64 {
         let want = oracle
             .try_gemm_f64(GemmPrecision::Fp64Emulated, &a, &b, &c)
             .unwrap();
-        let t = serve.submit_gemm_f64(tenant, a, b, c, opts()).unwrap();
+        let t = serve
+            .submit(tenant, Blas3Call::gemm(a, b, c), opts())
+            .unwrap();
         f64_waits.push((format!("case {case} gemm_f64"), t, want));
     }
     let round = format!("shards={shards} seed={seed} rate={rate}");
@@ -916,7 +940,12 @@ fn watchdog_respawns_a_killed_shard_and_conserves_accounting() {
     let (a, b, c) = gemm_inputs(301);
     let want = gemm::baseline::gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
     let r = serve
-        .blocking_gemm_f32("w", GemmPrecision::M3xuFp32, a, b, c, SubmitOpts::default())
+        .submit(
+            "w",
+            Blas3Call::gemm(a, b, c).with_precision(GemmPrecision::M3xuFp32),
+            SubmitOpts::default(),
+        )
+        .and_then(|t| t.wait())
         .expect("pre-kill GEMM");
     assert_bits_f32(&r.d, &want.d, "pre-kill GEMM");
 
@@ -943,7 +972,12 @@ fn watchdog_respawns_a_killed_shard_and_conserves_accounting() {
     let (a, b, c) = gemm_inputs(311);
     let want = gemm::baseline::gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
     let r = serve
-        .blocking_gemm_f32("w", GemmPrecision::M3xuFp32, a, b, c, SubmitOpts::default())
+        .submit(
+            "w",
+            Blas3Call::gemm(a, b, c).with_precision(GemmPrecision::M3xuFp32),
+            SubmitOpts::default(),
+        )
+        .and_then(|t| t.wait())
         .expect("post-respawn GEMM must be served");
     assert_bits_f32(&r.d, &want.d, "post-respawn GEMM");
 
@@ -987,7 +1021,12 @@ fn poison_request_quarantines_alone_without_tripping_the_breaker() {
         let c = Matrix::<f32>::random(9, 5, 403 + round * 3);
         let want = gemm::baseline::gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
         let r = serve
-            .blocking_gemm_f32("p", GemmPrecision::M3xuFp32, a, b, c, SubmitOpts::default())
+            .submit(
+                "p",
+                Blas3Call::gemm(a, b, c).with_precision(GemmPrecision::M3xuFp32),
+                SubmitOpts::default(),
+            )
+            .and_then(|t| t.wait())
             .expect("healthy request after quarantine must be admitted and served");
         assert_bits_f32(&r.d, &want.d, &format!("post-quarantine GEMM {round}"));
     }

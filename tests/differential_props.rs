@@ -25,7 +25,7 @@ use m3xu::kernels::gemm::{self, GemmPrecision};
 use m3xu::kernels::M3xuContext;
 use m3xu::mxu::packed::simd::{self, SimdLevel};
 use m3xu::serve::{BatchPolicy, M3xuServe, ServeConfig, SubmitOpts};
-use m3xu::{Matrix, C32};
+use m3xu::{Blas3Call, Matrix, C32};
 use std::sync::Mutex;
 
 /// Deterministic xorshift64* shape generator.
@@ -157,7 +157,7 @@ fn real_gemm_all_engines_all_paths_match_baseline_bits() {
             // Path 2: private contexts across thread counts.
             for &t in &THREAD_COUNTS {
                 let ctx = M3xuContext::with_threads(t);
-                let r = ctx.gemm_f32(precision, &a, &b, &c);
+                let r = ctx.try_gemm_f32(precision, &a, &b, &c).unwrap();
                 assert_bits_f32(&r.d, &want.d, &tag(&format!("ctx[{t}]")));
                 assert_eq!(r.stats, want.stats, "{}", tag(&format!("ctx[{t}]")));
             }
@@ -165,14 +165,12 @@ fn real_gemm_all_engines_all_paths_match_baseline_bits() {
             // Path 3: the serving layer, every scheduler path.
             for (label, serve) in &serves {
                 let r = serve
-                    .blocking_gemm_f32(
+                    .submit(
                         "prop",
-                        precision,
-                        a.clone(),
-                        b.clone(),
-                        c.clone(),
+                        Blas3Call::gemm(a.clone(), b.clone(), c.clone()).with_precision(precision),
                         SubmitOpts::default(),
                     )
+                    .and_then(|t| t.wait())
                     .unwrap();
                 let path = format!("serve[{label}]");
                 assert_bits_f32(&r.d, &want.d, &tag(&path));
@@ -201,20 +199,19 @@ fn complex_gemm_all_paths_match_baseline_bits() {
 
         for &t in &THREAD_COUNTS {
             let ctx = M3xuContext::with_threads(t);
-            let r = ctx.cgemm_c32(&a, &b, &c);
+            let r = ctx.try_cgemm_c32(&a, &b, &c).unwrap();
             assert_bits_c32(&r.d, &want.d, &tag(&format!("ctx[{t}]")));
             assert_eq!(r.stats, want.stats, "{}", tag(&format!("ctx[{t}]")));
         }
 
         for (t, serve) in &serves {
             let r = serve
-                .blocking_cgemm_c32(
+                .submit(
                     "prop",
-                    a.clone(),
-                    b.clone(),
-                    c.clone(),
+                    Blas3Call::gemm(a.clone(), b.clone(), c.clone()),
                     SubmitOpts::default(),
                 )
+                .and_then(|t| t.wait())
                 .unwrap();
             assert_bits_c32(&r.d, &want.d, &tag(&format!("serve[workers={t}]")));
             assert_eq!(
@@ -252,7 +249,9 @@ fn fp32_fast_all_paths_match_single_thread_bits() {
         let a = Matrix::<f32>::random(m, k, case as u64 * 7 + 1);
         let b = Matrix::<f32>::random(k, n, case as u64 * 7 + 2);
         let c = Matrix::<f32>::random(m, n, case as u64 * 7 + 3);
-        let want = M3xuContext::with_threads(1).gemm_f32(GemmPrecision::Fp32Fast, &a, &b, &c);
+        let want = M3xuContext::with_threads(1)
+            .try_gemm_f32(GemmPrecision::Fp32Fast, &a, &b, &c)
+            .unwrap();
         let tag = |path: &str| format!("case {case} {m}x{k}x{n} Fp32Fast via {path}");
 
         let free = gemm::gemm_f32(GemmPrecision::Fp32Fast, &a, &b, &c);
@@ -261,21 +260,22 @@ fn fp32_fast_all_paths_match_single_thread_bits() {
 
         for &t in &THREAD_COUNTS {
             let ctx = M3xuContext::with_threads(t);
-            let r = ctx.gemm_f32(GemmPrecision::Fp32Fast, &a, &b, &c);
+            let r = ctx
+                .try_gemm_f32(GemmPrecision::Fp32Fast, &a, &b, &c)
+                .unwrap();
             assert_bits_f32(&r.d, &want.d, &tag(&format!("ctx[{t}]")));
             assert_eq!(r.stats, want.stats, "{}", tag(&format!("ctx[{t}]")));
         }
 
         for (t, serve) in &serves {
             let r = serve
-                .blocking_gemm_f32(
+                .submit(
                     "prop",
-                    GemmPrecision::Fp32Fast,
-                    a.clone(),
-                    b.clone(),
-                    c.clone(),
+                    Blas3Call::gemm(a.clone(), b.clone(), c.clone())
+                        .with_precision(GemmPrecision::Fp32Fast),
                     SubmitOpts::default(),
                 )
+                .and_then(|t| t.wait())
                 .unwrap();
             let path = format!("serve[workers={t}]");
             assert_bits_f32(&r.d, &want.d, &tag(&path));
@@ -314,7 +314,9 @@ fn fp64_emulated_all_paths_match_single_thread_bits() {
         let a = Matrix::<f64>::random_f64(m, k, case as u64 * 11 + 1);
         let b = Matrix::<f64>::random_f64(k, n, case as u64 * 11 + 2);
         let c = Matrix::<f64>::random_f64(m, n, case as u64 * 11 + 3);
-        let want = M3xuContext::with_threads(1).gemm_f64(GemmPrecision::Fp64Emulated, &a, &b, &c);
+        let want = M3xuContext::with_threads(1)
+            .try_gemm_f64(GemmPrecision::Fp64Emulated, &a, &b, &c)
+            .unwrap();
         let tag = |path: &str| format!("case {case} {m}x{k}x{n} Fp64Emulated via {path}");
 
         let free = gemm::gemm_f64(GemmPrecision::Fp64Emulated, &a, &b, &c);
@@ -323,20 +325,21 @@ fn fp64_emulated_all_paths_match_single_thread_bits() {
 
         for &t in &THREAD_COUNTS {
             let ctx = M3xuContext::with_threads(t);
-            let r = ctx.gemm_f64(GemmPrecision::Fp64Emulated, &a, &b, &c);
+            let r = ctx
+                .try_gemm_f64(GemmPrecision::Fp64Emulated, &a, &b, &c)
+                .unwrap();
             assert_bits_f64(&r.d, &want.d, &tag(&format!("ctx[{t}]")));
             assert_eq!(r.stats, want.stats, "{}", tag(&format!("ctx[{t}]")));
         }
 
         for (label, serve) in &serves {
             let r = serve
-                .blocking_gemm_f64(
+                .submit(
                     "prop",
-                    a.clone(),
-                    b.clone(),
-                    c.clone(),
+                    Blas3Call::gemm(a.clone(), b.clone(), c.clone()),
                     SubmitOpts::default(),
                 )
+                .and_then(|t| t.wait())
                 .unwrap();
             let path = format!("serve[{label}]");
             assert_bits_f64(&r.d, &want.d, &tag(&path));
@@ -386,7 +389,9 @@ fn fp64_emulated_matches_softfloat_fma_reference_within_envelope() {
         let a = Matrix::<f64>::random_f64(m, k, case as u64 * 13 + 1);
         let b = Matrix::<f64>::random_f64(k, n, case as u64 * 13 + 2);
         let c = Matrix::<f64>::random_f64(m, n, case as u64 * 13 + 3);
-        let got = ctx.gemm_f64(GemmPrecision::Fp64Emulated, &a, &b, &c);
+        let got = ctx
+            .try_gemm_f64(GemmPrecision::Fp64Emulated, &a, &b, &c)
+            .unwrap();
         for i in 0..m {
             for j in 0..n {
                 let mut acc = SoftFloat::new(c.get(i, j), FP64);
@@ -440,7 +445,9 @@ fn exact_fp32_matches_baseline_at_every_simd_level_and_thread_count() {
             simd::set_level(lvl);
             for &t in &THREAD_COUNTS {
                 let ctx = M3xuContext::with_threads(t);
-                let r = ctx.gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
+                let r = ctx
+                    .try_gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c)
+                    .unwrap();
                 assert_bits_f32(
                     &r.d,
                     &want.d,

@@ -5,7 +5,7 @@
 //! ride the exact same admission controls (deadline, rate limit,
 //! breaker) and accounting reconciliation as plain GEMM.
 
-use m3xu::kernels::FaultPlan;
+use m3xu::kernels::{Blas3Call, FaultPlan};
 use m3xu::mxu::modes::MxuMode;
 use m3xu::serve::{M3xuServe, ServeConfig, SubmitOpts};
 use m3xu::{
@@ -54,23 +54,22 @@ fn expired_deadline_rejects_before_execution() {
     // Occupy the scheduler so the victim stays queued past its deadline.
     let (a, b, c) = big(1);
     let blocker = serve
-        .submit_gemm_f32(
+        .submit(
             "blocker",
-            GemmPrecision::M3xuFp32,
-            a,
-            b,
-            c,
+            Blas3Call::gemm(a, b, c).with_precision(GemmPrecision::M3xuFp32),
             SubmitOpts::default(),
         )
         .unwrap();
     // The victim's deadline is already expired at submission time.
     let victim = serve
-        .submit_gemm_f32(
+        .submit(
             "victim",
-            GemmPrecision::M3xuFp32,
-            Matrix::<f32>::random(32, 32, 5),
-            Matrix::<f32>::random(32, 32, 6),
-            Matrix::<f32>::zeros(32, 32),
+            Blas3Call::gemm(
+                Matrix::<f32>::random(32, 32, 5),
+                Matrix::<f32>::random(32, 32, 6),
+                Matrix::<f32>::zeros(32, 32),
+            )
+            .with_precision(GemmPrecision::M3xuFp32),
             SubmitOpts {
                 deadline: Some(Duration::ZERO),
                 ..SubmitOpts::default()
@@ -102,11 +101,19 @@ fn shutdown_unblocks_client_parked_in_backpressure() {
     // queue to capacity.
     let (a, b, c) = big(11);
     let executing = serve
-        .submit_gemm_f32("t", GemmPrecision::M3xuFp32, a, b, c, SubmitOpts::default())
+        .submit(
+            "t",
+            Blas3Call::gemm(a, b, c).with_precision(GemmPrecision::M3xuFp32),
+            SubmitOpts::default(),
+        )
         .unwrap();
     let (a, b, c) = big(13);
     let queued = serve
-        .submit_gemm_f32("t", GemmPrecision::M3xuFp32, a, b, c, SubmitOpts::default())
+        .submit(
+            "t",
+            Blas3Call::gemm(a, b, c).with_precision(GemmPrecision::M3xuFp32),
+            SubmitOpts::default(),
+        )
         .unwrap();
     // A third blocking submit parks in the backpressure wait (queue
     // full). Shutting down must wake it with ShuttingDown — not leave it
@@ -114,7 +121,11 @@ fn shutdown_unblocks_client_parked_in_backpressure() {
     let outcome = std::thread::scope(|scope| {
         let parked = scope.spawn(|| {
             let (a, b, c) = big(17);
-            serve.submit_gemm_f32("t", GemmPrecision::M3xuFp32, a, b, c, SubmitOpts::default())
+            serve.submit(
+                "t",
+                Blas3Call::gemm(a, b, c).with_precision(GemmPrecision::M3xuFp32),
+                SubmitOpts::default(),
+            )
         });
         // Give the thread time to actually park in the full queue.
         std::thread::sleep(Duration::from_millis(50));
@@ -168,53 +179,56 @@ fn expired_deadline_sheds_blas3_requests_before_execution() {
     // if a victim lands on an idle shard.
     let (a, b, c) = big(21);
     let blocker = serve
-        .submit_gemm_f32(
+        .submit(
             "blocker",
-            GemmPrecision::M3xuFp32,
-            a,
-            b,
-            c,
+            Blas3Call::gemm(a, b, c).with_precision(GemmPrecision::M3xuFp32),
             SubmitOpts::default(),
         )
         .unwrap();
     // One victim per BLAS-3 entry point, each with an expired deadline.
     let syrk = serve
-        .submit_syrk_f32(
+        .submit(
             "late-syrk",
-            GemmPrecision::M3xuFp32,
-            Triangle::Lower,
-            MatOp::T,
-            Matrix::<f32>::random(24, 16, 31),
-            0.5,
-            -1.0,
-            Matrix::<f32>::random(16, 16, 32),
+            Blas3Call::syrk(
+                Triangle::Lower,
+                MatOp::T,
+                Matrix::<f32>::random(24, 16, 31),
+                0.5,
+                -1.0,
+                Matrix::<f32>::random(16, 16, 32),
+            )
+            .with_precision(GemmPrecision::M3xuFp32),
             expired(),
         )
         .unwrap();
     let hemm = serve
-        .submit_hemm_c32(
+        .submit(
             "late-hemm",
-            Side::Left,
-            Triangle::Upper,
-            Matrix::random_c32(16, 16, 33),
-            Matrix::random_c32(16, 12, 34),
-            C32::new(0.5, -0.25),
-            C32::new(1.0, 0.0),
-            Matrix::random_c32(16, 12, 35),
+            Blas3Call::hemm(
+                Side::Left,
+                Triangle::Upper,
+                Matrix::random_c32(16, 16, 33),
+                Matrix::random_c32(16, 12, 34),
+                C32::new(0.5, -0.25),
+                C32::new(1.0, 0.0),
+                Matrix::random_c32(16, 12, 35),
+            ),
             expired(),
         )
         .unwrap();
     let op = serve
-        .submit_gemm_op_f32(
+        .submit(
             "late-op",
-            GemmPrecision::M3xuFp32,
-            MatOp::T,
-            Matrix::<f32>::random(20, 16, 36),
-            MatOp::N,
-            Matrix::<f32>::random(20, 12, 37),
-            1.0,
-            0.0,
-            Matrix::<f32>::zeros(16, 12),
+            Blas3Call::gemm_op(
+                MatOp::T,
+                Matrix::<f32>::random(20, 16, 36),
+                MatOp::N,
+                Matrix::<f32>::random(20, 12, 37),
+                1.0,
+                0.0,
+                Matrix::<f32>::zeros(16, 12),
+            )
+            .with_precision(GemmPrecision::M3xuFp32),
             expired(),
         )
         .unwrap();
@@ -283,15 +297,17 @@ fn rate_limit_sheds_blas3_submissions_at_admission() {
         (
             "cgemm_op",
             serve
-                .try_submit_cgemm_op_c32(
+                .try_submit(
                     "throttled",
-                    MatOp::H,
-                    ac.clone(),
-                    MatOp::N,
-                    bc.clone(),
-                    C32::new(1.0, 0.0),
-                    C32::ZERO,
-                    cc.clone(),
+                    Blas3Call::gemm_op(
+                        MatOp::H,
+                        ac.clone(),
+                        MatOp::N,
+                        bc.clone(),
+                        C32::new(1.0, 0.0),
+                        C32::ZERO,
+                        cc.clone(),
+                    ),
                     opts(),
                 )
                 .map(drop),
@@ -374,17 +390,20 @@ fn rate_limit_sheds_blas3_submissions_at_admission() {
     assert_conserved(&s);
     // Other tenants are unaffected: the same SYRK goes through and runs.
     serve
-        .blocking_syrk_f32(
+        .submit(
             "unthrottled",
-            p,
-            Triangle::Lower,
-            MatOp::N,
-            af,
-            1.0,
-            0.0,
-            Matrix::<f32>::zeros(n, n),
+            Blas3Call::syrk(
+                Triangle::Lower,
+                MatOp::N,
+                af,
+                1.0,
+                0.0,
+                Matrix::<f32>::zeros(n, n),
+            )
+            .with_precision(p),
             SubmitOpts::default(),
         )
+        .and_then(|t| t.wait())
         .unwrap();
     let u = serve.tenant_stats("unthrottled").unwrap();
     assert_eq!(u.completed, 1);
@@ -406,14 +425,18 @@ fn tripped_breaker_sheds_blas3_at_admission() {
         breaker_cooldown: Duration::from_secs(3600),
         ..ServeConfig::default()
     });
-    let outcome = serve.blocking_gemm_f32(
-        "flaky",
-        GemmPrecision::M3xuFp32,
-        Matrix::<f32>::random(16, 16, 41),
-        Matrix::<f32>::random(16, 16, 42),
-        Matrix::<f32>::zeros(16, 16),
-        SubmitOpts::default(),
-    );
+    let outcome = serve
+        .submit(
+            "flaky",
+            Blas3Call::gemm(
+                Matrix::<f32>::random(16, 16, 41),
+                Matrix::<f32>::random(16, 16, 42),
+                Matrix::<f32>::zeros(16, 16),
+            )
+            .with_precision(GemmPrecision::M3xuFp32),
+            SubmitOpts::default(),
+        )
+        .and_then(|t| t.wait());
     match outcome {
         Err(ServeError::Exec(_)) => {}
         other => panic!("expected Exec(FaultDetected), got {other:?}"),
@@ -460,17 +483,21 @@ fn tripped_breaker_sheds_blas3_at_admission() {
     // too, so under the saturated plan an untouched tenant is *admitted*
     // (its own breaker is closed — per-tenant isolation) and fails at
     // execution, not at the door.
-    let healthy = serve.blocking_hemm_c32(
-        "healthy",
-        Side::Left,
-        Triangle::Lower,
-        Matrix::random_c32(12, 12, 47),
-        Matrix::random_c32(12, 12, 48),
-        C32::new(1.0, 0.0),
-        C32::ZERO,
-        Matrix::random_c32(12, 12, 49),
-        SubmitOpts::default(),
-    );
+    let healthy = serve
+        .submit(
+            "healthy",
+            Blas3Call::hemm(
+                Side::Left,
+                Triangle::Lower,
+                Matrix::random_c32(12, 12, 47),
+                Matrix::random_c32(12, 12, 48),
+                C32::new(1.0, 0.0),
+                C32::ZERO,
+                Matrix::random_c32(12, 12, 49),
+            ),
+            SubmitOpts::default(),
+        )
+        .and_then(|t| t.wait());
     match healthy {
         Err(ServeError::Exec(m3xu::M3xuError::FaultDetected { op, .. })) => {
             assert_eq!(op, "hemm", "the typed error names the failing op");
@@ -513,79 +540,79 @@ fn mixed_blas3_traffic_conserves_stats_across_shards() {
                     let bc = Matrix::random_c32(k, n, seed + 4);
                     let csq = Matrix::random_c32(n, n, seed + 5);
                     serve
-                        .blocking_gemm_f32(
+                        .submit(
                             tenant,
-                            p,
-                            af.clone(),
-                            bf.clone(),
-                            Matrix::<f32>::zeros(n, n),
+                            Blas3Call::gemm(af.clone(), bf.clone(), Matrix::<f32>::zeros(n, n))
+                                .with_precision(p),
                             SubmitOpts::default(),
                         )
+                        .and_then(|t| t.wait())
                         .unwrap();
                     serve
-                        .blocking_gemm_op_f32(
+                        .submit(
                             tenant,
-                            p,
-                            MatOp::T,
-                            bf,
-                            MatOp::T,
-                            af.clone(),
-                            0.5,
-                            -1.0,
-                            Matrix::<f32>::random(n, n, seed + 6),
+                            Blas3Call::gemm_op(
+                                MatOp::T,
+                                bf,
+                                MatOp::T,
+                                af.clone(),
+                                0.5,
+                                -1.0,
+                                Matrix::<f32>::random(n, n, seed + 6),
+                            )
+                            .with_precision(p),
                             SubmitOpts::default(),
                         )
+                        .and_then(|t| t.wait())
                         .unwrap();
                     serve
-                        .blocking_syrk_f32(
+                        .submit(
                             tenant,
-                            p,
-                            Triangle::Lower,
-                            MatOp::N,
-                            af,
-                            1.0,
-                            0.25,
-                            sq,
+                            Blas3Call::syrk(Triangle::Lower, MatOp::N, af, 1.0, 0.25, sq)
+                                .with_precision(p),
                             SubmitOpts::default(),
                         )
+                        .and_then(|t| t.wait())
                         .unwrap();
                     serve
-                        .blocking_hemm_c32(
+                        .submit(
                             tenant,
-                            Side::Right,
-                            Triangle::Upper,
-                            csq.clone(),
-                            Matrix::random_c32(k, n, seed + 7),
-                            C32::new(0.5, -0.25),
-                            C32::new(1.0, 0.0),
-                            Matrix::random_c32(k, n, seed + 8),
+                            Blas3Call::hemm(
+                                Side::Right,
+                                Triangle::Upper,
+                                csq.clone(),
+                                Matrix::random_c32(k, n, seed + 7),
+                                C32::new(0.5, -0.25),
+                                C32::new(1.0, 0.0),
+                                Matrix::random_c32(k, n, seed + 8),
+                            ),
                             SubmitOpts::default(),
                         )
+                        .and_then(|t| t.wait())
                         .unwrap();
                     serve
-                        .blocking_cgemm_op_c32(
+                        .submit(
                             tenant,
-                            MatOp::H,
-                            ac.clone(),
-                            MatOp::N,
-                            Matrix::random_c32(n, n, seed + 9),
-                            C32::new(1.0, 0.0),
-                            C32::ZERO,
-                            Matrix::random_c32(k, n, seed + 10),
+                            Blas3Call::gemm_op(
+                                MatOp::H,
+                                ac.clone(),
+                                MatOp::N,
+                                Matrix::random_c32(n, n, seed + 9),
+                                C32::new(1.0, 0.0),
+                                C32::ZERO,
+                                Matrix::random_c32(k, n, seed + 10),
+                            ),
                             SubmitOpts::default(),
                         )
+                        .and_then(|t| t.wait())
                         .unwrap();
                     serve
-                        .blocking_herk_c32(
+                        .submit(
                             tenant,
-                            Triangle::Upper,
-                            MatOp::H,
-                            bc,
-                            0.5,
-                            0.25,
-                            csq,
+                            Blas3Call::herk(Triangle::Upper, MatOp::H, bc, 0.5, 0.25, csq),
                             SubmitOpts::default(),
                         )
+                        .and_then(|t| t.wait())
                         .unwrap();
                 }
             });

@@ -7,10 +7,11 @@
 //! and the per-tenant per-mode usage split reconciling against the
 //! shards' per-mode `ExecStats` at shard counts 1 and 4.
 
+use m3xu::kernels::{gemm, Operand};
 use m3xu::mxu::modes::MxuMode;
 use m3xu::serve::openloop::{generate, Arrival, OpKind, OpenLoopSpec};
 use m3xu::serve::{FaultPlan, M3xuServe, Priority, RateLimit, ServeConfig, ServeError, SubmitOpts};
-use m3xu::{kernels::gemm, GemmPrecision, M3xuContext, M3xuError, Matrix, C32};
+use m3xu::{Blas3Call, GemmPrecision, M3xuContext, M3xuError, MatOp, Matrix, Side, Triangle, C32};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -50,7 +51,12 @@ fn try_new_returns_a_working_service_instead_of_panicking() {
     let (a, b, c) = tiny_inputs(1);
     let want = gemm::baseline::gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
     let got = serve
-        .blocking_gemm_f32("t", GemmPrecision::M3xuFp32, a, b, c, SubmitOpts::default())
+        .submit(
+            "t",
+            Blas3Call::gemm(a, b, c).with_precision(GemmPrecision::M3xuFp32),
+            SubmitOpts::default(),
+        )
+        .and_then(|t| t.wait())
         .unwrap();
     for (x, y) in got.d.as_slice().iter().zip(want.d.as_slice()) {
         assert_eq!(x.to_bits(), y.to_bits());
@@ -77,7 +83,12 @@ fn retry_time_is_split_out_of_exec_ns() {
     });
     let (a, b, c) = tiny_inputs(81);
     let err = serve
-        .blocking_gemm_f32("t", GemmPrecision::M3xuFp32, a, b, c, SubmitOpts::default())
+        .submit(
+            "t",
+            Blas3Call::gemm(a, b, c).with_precision(GemmPrecision::M3xuFp32),
+            SubmitOpts::default(),
+        )
+        .and_then(|t| t.wait())
         .unwrap_err();
     assert!(
         matches!(err, ServeError::Exec(M3xuError::FaultDetected { .. })),
@@ -107,7 +118,12 @@ fn unretried_requests_have_zero_retry_ns() {
     let serve = M3xuServe::with_workers(1);
     let (a, b, c) = tiny_inputs(5);
     serve
-        .blocking_gemm_f32("t", GemmPrecision::M3xuFp32, a, b, c, SubmitOpts::default())
+        .submit(
+            "t",
+            Blas3Call::gemm(a, b, c).with_precision(GemmPrecision::M3xuFp32),
+            SubmitOpts::default(),
+        )
+        .and_then(|t| t.wait())
         .unwrap();
     let s = serve.tenant_stats("t").unwrap();
     assert_eq!(s.completed, 1);
@@ -129,7 +145,8 @@ fn deadline_blown_inside_execution_counts_as_missed_not_completed() {
         let b = Matrix::<f32>::random(n, n, 2);
         let c = Matrix::<f32>::zeros(n, n);
         let t0 = Instant::now();
-        ctx.gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
+        ctx.try_gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c)
+            .unwrap();
         exec = t0.elapsed();
         if exec >= Duration::from_millis(60) {
             break;
@@ -150,12 +167,9 @@ fn deadline_blown_inside_execution_counts_as_missed_not_completed() {
     let b = Matrix::<f32>::random(n, n, 2);
     let c = Matrix::<f32>::zeros(n, n);
     let ticket = serve
-        .submit_gemm_f32(
+        .submit(
             "late",
-            GemmPrecision::M3xuFp32,
-            a,
-            b,
-            c,
+            Blas3Call::gemm(a, b, c).with_precision(GemmPrecision::M3xuFp32),
             SubmitOpts {
                 deadline: Some(deadline),
                 ..SubmitOpts::default()
@@ -238,14 +252,12 @@ fn rate_limit_sheds_over_burst_and_counts_as_rejected() {
     for i in 0..5u64 {
         let (a, b, c) = tiny_inputs(200 + i);
         serve
-            .blocking_gemm_f32(
+            .submit(
                 "vip",
-                GemmPrecision::M3xuFp32,
-                a,
-                b,
-                c,
+                Blas3Call::gemm(a, b, c).with_precision(GemmPrecision::M3xuFp32),
                 SubmitOpts::default(),
             )
+            .and_then(|t| t.wait())
             .unwrap();
     }
     assert_eq!(serve.tenant_stats("vip").unwrap().completed, 5);
@@ -263,12 +275,14 @@ fn high_priority_overtakes_low_in_the_queue() {
     });
     let n = 128;
     let blocker = serve
-        .submit_gemm_f32(
+        .submit(
             "t",
-            GemmPrecision::M3xuFp32,
-            Matrix::<f32>::random(n, n, 1),
-            Matrix::<f32>::random(n, n, 2),
-            Matrix::<f32>::zeros(n, n),
+            Blas3Call::gemm(
+                Matrix::<f32>::random(n, n, 1),
+                Matrix::<f32>::random(n, n, 2),
+                Matrix::<f32>::zeros(n, n),
+            )
+            .with_precision(GemmPrecision::M3xuFp32),
             SubmitOpts::default(),
         )
         .unwrap();
@@ -280,12 +294,14 @@ fn high_priority_overtakes_low_in_the_queue() {
         std::thread::sleep(Duration::from_millis(1));
     }
     let low = serve
-        .submit_gemm_f32(
+        .submit(
             "t",
-            GemmPrecision::M3xuFp32,
-            Matrix::<f32>::random(96, 96, 3),
-            Matrix::<f32>::random(96, 96, 4),
-            Matrix::<f32>::zeros(96, 96),
+            Blas3Call::gemm(
+                Matrix::<f32>::random(96, 96, 3),
+                Matrix::<f32>::random(96, 96, 4),
+                Matrix::<f32>::zeros(96, 96),
+            )
+            .with_precision(GemmPrecision::M3xuFp32),
             SubmitOpts {
                 priority: Priority::Low,
                 ..SubmitOpts::default()
@@ -293,12 +309,14 @@ fn high_priority_overtakes_low_in_the_queue() {
         )
         .unwrap();
     let high = serve
-        .submit_gemm_f32(
+        .submit(
             "t",
-            GemmPrecision::M3xuFp32,
-            Matrix::<f32>::random(8, 8, 5),
-            Matrix::<f32>::random(8, 8, 6),
-            Matrix::<f32>::zeros(8, 8),
+            Blas3Call::gemm(
+                Matrix::<f32>::random(8, 8, 5),
+                Matrix::<f32>::random(8, 8, 6),
+                Matrix::<f32>::zeros(8, 8),
+            )
+            .with_precision(GemmPrecision::M3xuFp32),
             SubmitOpts {
                 priority: Priority::High,
                 ..SubmitOpts::default()
@@ -336,14 +354,12 @@ fn run_schedule(serve: &M3xuServe, arrivals: &[Arrival]) -> Vec<u64> {
                 let b = Matrix::<f32>::random(n, n, seed + 1);
                 let c = Matrix::<f32>::zeros(n, n);
                 let r = serve
-                    .blocking_gemm_f32(
+                    .submit(
                         &tenant,
-                        GemmPrecision::M3xuFp32,
-                        a,
-                        b,
-                        c,
+                        Blas3Call::gemm(a, b, c).with_precision(GemmPrecision::M3xuFp32),
                         SubmitOpts::default(),
                     )
+                    .and_then(|t| t.wait())
                     .unwrap();
                 fnv(r.d.as_slice().iter().map(|x| x.to_bits() as u64))
             }
@@ -352,7 +368,8 @@ fn run_schedule(serve: &M3xuServe, arrivals: &[Arrival]) -> Vec<u64> {
                 let b = Matrix::random_c32(n, n, seed + 1);
                 let c = Matrix::random_c32(n, n, seed + 2);
                 let r = serve
-                    .blocking_cgemm_c32(&tenant, a, b, c, SubmitOpts::default())
+                    .submit(&tenant, Blas3Call::gemm(a, b, c), SubmitOpts::default())
+                    .and_then(|t| t.wait())
                     .unwrap();
                 fnv(r
                     .d
@@ -370,7 +387,8 @@ fn run_schedule(serve: &M3xuServe, arrivals: &[Arrival]) -> Vec<u64> {
                     })
                     .collect();
                 let (y, _) = serve
-                    .blocking_fft(&tenant, x, SubmitOpts::default())
+                    .submit_fft(&tenant, x, SubmitOpts::default())
+                    .and_then(|t| t.wait())
                     .unwrap();
                 fnv(y
                     .iter()
@@ -451,14 +469,13 @@ fn eight_concurrent_clients_reconcile_across_four_shards() {
                     let c = Matrix::<f32>::random(m, n, seed + 3);
                     let want = gemm::baseline::gemm_f32(GemmPrecision::M3xuFp32, &a, &b, &c);
                     let got = serve
-                        .blocking_gemm_f32(
+                        .submit(
                             &format!("client-{client}"),
-                            GemmPrecision::M3xuFp32,
-                            a.clone(),
-                            b.clone(),
-                            c.clone(),
+                            Blas3Call::gemm(a.clone(), b.clone(), c.clone())
+                                .with_precision(GemmPrecision::M3xuFp32),
                             SubmitOpts::default(),
                         )
+                        .and_then(|t| t.wait())
                         .unwrap();
                     for (x, y) in got.d.as_slice().iter().zip(want.d.as_slice()) {
                         assert_eq!(x.to_bits(), y.to_bits(), "client {client} round {round}");
@@ -503,9 +520,12 @@ fn served_fp64_gemm_is_bit_identical_to_direct_context_execution() {
     let a = Matrix::<f64>::random_f64(33, 17, 11);
     let b = Matrix::<f64>::random_f64(17, 21, 12);
     let c = Matrix::<f64>::random_f64(33, 21, 13);
-    let want = ctx.gemm_f64(GemmPrecision::Fp64Emulated, &a, &b, &c);
+    let want = ctx
+        .try_gemm_f64(GemmPrecision::Fp64Emulated, &a, &b, &c)
+        .unwrap();
     let got = serve
-        .blocking_gemm_f64("t", a, b, c, SubmitOpts::default())
+        .submit("t", Blas3Call::gemm(a, b, c), SubmitOpts::default())
+        .and_then(|t| t.wait())
         .unwrap();
     for (x, y) in got.d.as_slice().iter().zip(want.d.as_slice()) {
         assert_eq!(x.to_bits(), y.to_bits());
@@ -529,19 +549,19 @@ fn submit_opts_precision_overrides_the_positional_argument() {
     let (a, b, c) = tiny_inputs(31);
     // Fp32Fast has no baseline tile executor (the packed driver is its
     // only engine), so the bit-identity reference is a direct context.
-    let want = M3xuContext::with_threads(1).gemm_f32(GemmPrecision::Fp32Fast, &a, &b, &c);
+    let want = M3xuContext::with_threads(1)
+        .try_gemm_f32(GemmPrecision::Fp32Fast, &a, &b, &c)
+        .unwrap();
     let got = serve
-        .blocking_gemm_f32(
+        .submit(
             "dial",
-            GemmPrecision::M3xuFp32,
-            a,
-            b,
-            c,
+            Blas3Call::gemm(a, b, c).with_precision(GemmPrecision::M3xuFp32),
             SubmitOpts {
                 precision: Some(GemmPrecision::Fp32Fast),
                 ..SubmitOpts::default()
             },
         )
+        .and_then(|t| t.wait())
         .unwrap();
     for (x, y) in got.d.as_slice().iter().zip(want.d.as_slice()) {
         assert_eq!(x.to_bits(), y.to_bits());
@@ -563,17 +583,15 @@ fn mismatched_precision_is_a_typed_exec_error_not_a_panic() {
     let serve = M3xuServe::with_workers(1);
     let (a, b, c) = tiny_inputs(47);
     let err = serve
-        .blocking_gemm_f32(
+        .submit(
             "bad",
-            GemmPrecision::M3xuFp32,
-            a,
-            b,
-            c,
+            Blas3Call::gemm(a, b, c).with_precision(GemmPrecision::M3xuFp32),
             SubmitOpts {
                 precision: Some(GemmPrecision::Fp64Emulated),
                 ..SubmitOpts::default()
             },
         )
+        .and_then(|t| t.wait())
         .unwrap_err();
     assert!(
         matches!(err, ServeError::Exec(M3xuError::ModeMismatch { .. })),
@@ -622,27 +640,33 @@ fn run_precision_mix_and_reconcile(shards: usize) {
                     // different, to prove the override is what executes).
                     let precision = f32_dial[(seed as usize) % f32_dial.len()];
                     serve
-                        .blocking_gemm_f32(
+                        .submit(
                             &tenant,
-                            GemmPrecision::M3xuFp32,
-                            Matrix::<f32>::random(m, k, seed + 1),
-                            Matrix::<f32>::random(k, n, seed + 2),
-                            Matrix::<f32>::random(m, n, seed + 3),
+                            Blas3Call::gemm(
+                                Matrix::<f32>::random(m, k, seed + 1),
+                                Matrix::<f32>::random(k, n, seed + 2),
+                                Matrix::<f32>::random(m, n, seed + 3),
+                            )
+                            .with_precision(GemmPrecision::M3xuFp32),
                             SubmitOpts {
                                 precision: Some(precision),
                                 ..SubmitOpts::default()
                             },
                         )
+                        .and_then(|t| t.wait())
                         .unwrap();
                     // And one emulated-FP64 request per round.
                     serve
-                        .blocking_gemm_f64(
+                        .submit(
                             &tenant,
-                            Matrix::<f64>::random_f64(m, k, seed + 4),
-                            Matrix::<f64>::random_f64(k, n, seed + 5),
-                            Matrix::<f64>::random_f64(m, n, seed + 6),
+                            Blas3Call::gemm(
+                                Matrix::<f64>::random_f64(m, k, seed + 4),
+                                Matrix::<f64>::random_f64(k, n, seed + 5),
+                                Matrix::<f64>::random_f64(m, n, seed + 6),
+                            ),
                             SubmitOpts::default(),
                         )
+                        .and_then(|t| t.wait())
                         .unwrap();
                 }
             });
@@ -702,4 +726,122 @@ fn precision_mix_reconciles_per_mode_at_one_shard() {
 #[test]
 fn precision_mix_reconciles_per_mode_at_four_shards() {
     run_precision_mix_and_reconcile(4);
+}
+
+/// The complex operands of the dial test below.
+struct ComplexOps {
+    a: Matrix<C32>,
+    at: Matrix<C32>,
+    b: Matrix<C32>,
+    c: Matrix<C32>,
+    sq: Matrix<C32>,
+}
+
+impl ComplexOps {
+    /// CGEMM, op-CGEMM (`H,N`), HERK and HEMM, every operand held by
+    /// `hold`: borrowed for the direct reference, cloned for the served
+    /// copies.
+    fn calls<'a, M: Operand<Elem = C32>>(
+        &'a self,
+        hold: impl Fn(&'a Matrix<C32>) -> M,
+    ) -> [Blas3Call<M>; 4] {
+        let (alpha, beta) = (C32::new(0.5, -0.25), C32::new(1.0, 0.5));
+        let (tri, side) = (Triangle::Lower, Side::Left);
+        [
+            Blas3Call::gemm(hold(&self.a), hold(&self.b), hold(&self.c)),
+            Blas3Call::gemm_op(
+                MatOp::H,
+                hold(&self.at),
+                MatOp::N,
+                hold(&self.b),
+                alpha,
+                beta,
+                hold(&self.c),
+            ),
+            Blas3Call::herk(tri, MatOp::N, hold(&self.a), 0.75, -0.5, hold(&self.sq)),
+            Blas3Call::hemm(
+                side,
+                tri,
+                hold(&self.sq),
+                hold(&self.c),
+                alpha,
+                beta,
+                hold(&self.c),
+            ),
+        ]
+    }
+}
+
+#[test]
+fn precision_override_on_complex_submissions_is_a_typed_exec_error() {
+    // The dial has no complex engine: every complex-element call runs
+    // FP32C. An override on a complex submission (CGEMM, op-CGEMM, HERK,
+    // HEMM, FFT) must resolve to the typed mode mismatch — an exec_error
+    // that leaves the breaker alone — never run and be billed as FP32C.
+    let serve = M3xuServe::with_workers(1);
+    let direct = M3xuContext::with_threads(1);
+    let dial = SubmitOpts {
+        precision: Some(GemmPrecision::Fp16),
+        ..SubmitOpts::default()
+    };
+    let a = Matrix::random_c32(9, 7, 71);
+    let ops = ComplexOps {
+        at: a.transpose(),
+        a,
+        b: Matrix::random_c32(7, 5, 72),
+        c: Matrix::random_c32(9, 5, 73),
+        sq: Matrix::random_c32(9, 9, 74),
+    };
+    let x: Vec<C32> = (0..16).map(|i| C32::new(i as f32, 0.5)).collect();
+    let bits = |m: &[C32]| -> Vec<(u32, u32)> {
+        m.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+    };
+    // Five overridden submissions, then the same five without: had the
+    // failures advanced the breaker (threshold 4), the second round
+    // would be shed at admission.
+    for opts in [dial, SubmitOpts::default()] {
+        let mut outcomes: Vec<Result<Vec<(u32, u32)>, ServeError>> = ops
+            .calls(Matrix::clone)
+            .into_iter()
+            .map(|call| {
+                serve
+                    .submit("cplx", call, opts)
+                    .and_then(|t| t.wait())
+                    .map(|r| bits(r.d.as_slice()))
+            })
+            .collect();
+        outcomes.push(
+            serve
+                .submit_fft("cplx", x.clone(), opts)
+                .and_then(|t| t.wait())
+                .map(|(y, _)| bits(&y)),
+        );
+        if opts.precision.is_some() {
+            for out in outcomes {
+                let err = out.unwrap_err();
+                assert!(
+                    matches!(err, ServeError::Exec(M3xuError::ModeMismatch { .. })),
+                    "expected a typed mode mismatch, got {err:?}"
+                );
+            }
+            continue;
+        }
+        let mut want: Vec<Vec<(u32, u32)>> = ops
+            .calls(|m| m)
+            .iter()
+            .map(|call| bits(direct.run(call).unwrap().0.d.as_slice()))
+            .collect();
+        want.push(bits(&direct.try_gemm_fft(&x).unwrap().0));
+        for (got, want) in outcomes.into_iter().zip(want) {
+            assert_eq!(got.unwrap(), want, "served bits equal the direct call's");
+        }
+    }
+    let s = serve.tenant_stats("cplx").unwrap();
+    assert_eq!(s.exec_errors, 5);
+    assert_eq!(s.completed, 5);
+    assert_eq!(s.mode(MxuMode::M3xuFp32c).requests, 5);
+    assert_eq!(
+        s.submitted,
+        s.completed + s.rejected + s.deadline_missed + s.exec_errors
+    );
 }

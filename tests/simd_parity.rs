@@ -15,9 +15,9 @@
 use std::sync::{Arc, Mutex};
 
 use m3xu::kernels::gemm::{self, baseline, GemmPrecision};
-use m3xu::kernels::{FaultPlan, FaultyExecutor, M3xuContext};
+use m3xu::kernels::{Blas3Call, FaultPlan, FaultyExecutor, M3xuContext};
 use m3xu::mxu::packed::simd::{self, SimdLevel};
-use m3xu::{M3xuError, MatOp, Matrix, Triangle, C32};
+use m3xu::{M3xuError, MatOp, Matrix, Side, Triangle, C32};
 
 /// Serializes tests that override the process-wide dispatch level.
 static LEVEL_LOCK: Mutex<()> = Mutex::new(());
@@ -236,9 +236,9 @@ fn outcome<T: Copy + Default>(
 /// The armed chaos schedule at one dispatch level: `FaultyExecutor` GEMMs
 /// (exact FP32, FP16, the truncated fast schedule, and one payload with
 /// NaN/Inf operands so some chunks are unverifiable) plus CGEMM, then
-/// SYRK and emulated-FP64 GEMM on an armed context, read through its
-/// `ExecStats` fault counters. Every plan is fresh, so the schedule
-/// replays identically at each level.
+/// SYRK, emulated-FP64 GEMM and the rest of the BLAS-3 surface on an
+/// armed context, read through its `ExecStats` fault counters. Every
+/// plan is fresh, so the schedule replays identically at each level.
 fn armed_schedule() -> Vec<Outcome> {
     let (m, k, n) = (40, 24, 33);
     let a = Matrix::<f32>::random(m, k, 0xFA1);
@@ -257,17 +257,20 @@ fn armed_schedule() -> Vec<Outcome> {
         GemmPrecision::Fp16,
         GemmPrecision::Fp32Fast,
     ] {
-        out.push(outcome(exec.try_gemm_f32_faulted(p, &a, &b, &c), f32_bits));
+        out.push(outcome(
+            exec.run(&Blas3Call::gemm(&a, &b, &c).with_precision(p)),
+            f32_bits,
+        ));
     }
     out.push(outcome(
-        exec.try_gemm_f32_faulted(GemmPrecision::M3xuFp32, &specials, &b, &c),
+        exec.run(&Blas3Call::gemm(&specials, &b, &c).with_precision(GemmPrecision::M3xuFp32)),
         f32_bits,
     ));
     let ca = Matrix::random_c32(m, k, 0xFA4);
     let cb = Matrix::random_c32(k, n, 0xFA5);
     let cc = Matrix::random_c32(m, n, 0xFA6);
     out.push(outcome(
-        exec.try_cgemm_c32_faulted(&ca, &cb, &cc),
+        exec.run(&Blas3Call::gemm(&ca, &cb, &cc)),
         |z: &C32| (z.re.to_bits() as u64) << 32 | z.im.to_bits() as u64,
     ));
 
@@ -276,35 +279,73 @@ fn armed_schedule() -> Vec<Outcome> {
         let s = ctx.stats();
         (s.faults_detected, s.faults_corrected, s.fault_retries)
     };
+    // The BLAS-3 surface on the armed context, one call at a time: the
+    // output fingerprint (0 for a typed fault error) and the counters.
+    let mut record = |call_fp: u64| {
+        out.push((call_fp, counters(&armed)));
+        armed.reset_stats();
+    };
+    let f32_fp = |r: Result<(gemm::GemmResult<f32>, _), M3xuError>| {
+        r.map_or(0, |(r, _)| fingerprint(r.d.as_slice().iter().map(f32_bits)))
+    };
+    let f64_fp = |r: Result<(gemm::GemmResult<f64>, _), M3xuError>| {
+        r.map_or(0, |(r, _)| {
+            fingerprint(r.d.as_slice().iter().map(|x| x.to_bits()))
+        })
+    };
+    let c32_fp = |r: Result<(gemm::GemmResult<C32>, _), M3xuError>| {
+        r.map_or(0, |(r, _)| {
+            fingerprint(
+                r.d.as_slice()
+                    .iter()
+                    .map(|z| (z.re.to_bits() as u64) << 32 | z.im.to_bits() as u64),
+            )
+        })
+    };
     let sc = Matrix::<f32>::random(n, n, 0xFA7);
-    let syrk = armed.try_syrk_f32(
-        GemmPrecision::M3xuFp32,
-        Triangle::Lower,
-        MatOp::N,
-        &b.transpose(),
-        0.5,
-        1.0,
-        &sc,
-    );
-    let syrk_fp = syrk.map_or(0, |r| fingerprint(r.d.as_slice().iter().map(f32_bits)));
-    out.push((syrk_fp, counters(&armed)));
-    armed.reset_stats();
+    let bt = b.transpose();
+    let syrk = Blas3Call::syrk(Triangle::Lower, MatOp::N, &bt, 0.5, 1.0, &sc);
+    record(f32_fp(armed.run(&syrk)));
     let da = Matrix::random_f64(17, 9, 0xFA8);
     let db = Matrix::random_f64(9, 19, 0xFA9);
     let dc = Matrix::random_f64(17, 19, 0xFAA);
-    let f64_fp = armed
-        .try_gemm_f64(GemmPrecision::Fp64Emulated, &da, &db, &dc)
-        .map_or(0, |r| {
-            fingerprint(r.d.as_slice().iter().map(|x| x.to_bits()))
-        });
-    out.push((f64_fp, counters(&armed)));
+    record(f64_fp(armed.run(&Blas3Call::gemm(&da, &db, &dc))));
+
+    // The rest of the surface, appended after the recorded seven.
+    let (z_alpha, z_beta) = (C32::new(0.5, -0.25), C32::new(1.0, 0.5));
+    let at = a.transpose();
+    let call = Blas3Call::gemm_op(MatOp::T, &at, MatOp::N, &b, 0.75, -1.25, &c);
+    record(f32_fp(armed.run(&call)));
+    let ah = Matrix::random_c32(k, m, 0xFAB);
+    let call = Blas3Call::gemm_op(MatOp::H, &ah, MatOp::N, &cb, z_alpha, z_beta, &cc);
+    record(c32_fp(armed.run(&call)));
+    let dbt = db.transpose();
+    let call = Blas3Call::gemm_op(MatOp::N, &da, MatOp::T, &dbt, 0.75, -1.25, &dc);
+    record(f64_fp(armed.run(&call)));
+    let hc = Matrix::random_c32(m, m, 0xFAC);
+    let call = Blas3Call::herk(Triangle::Upper, MatOp::N, &ca, 0.75, -0.5, &hc);
+    record(c32_fp(armed.run(&call)));
+    let sa = Matrix::<f32>::random(m, m, 0xFAD);
+    let sb = Matrix::<f32>::random(m, n, 0xFAE);
+    let call = Blas3Call::symm(Side::Left, Triangle::Upper, &sa, &sb, -0.5, 1.25, &c);
+    record(f32_fp(armed.run(&call)));
+    let sa = Matrix::<f32>::random(n, n, 0xFAF);
+    let call = Blas3Call::symm(Side::Right, Triangle::Lower, &sa, &sb, -0.5, 1.25, &c);
+    record(f32_fp(armed.run(&call)));
+    let ha = Matrix::random_c32(m, m, 0xFB0);
+    let hb = Matrix::random_c32(m, n, 0xFB1);
+    let call = Blas3Call::hemm(Side::Left, Triangle::Lower, &ha, &hb, z_alpha, z_beta, &cc);
+    record(c32_fp(armed.run(&call)));
     out
 }
 
-/// [`armed_schedule`]'s outcomes, recorded when the checked residues came
-/// from a separate scalar checked pipeline that also injected the faults:
-/// the fused kernels must reproduce that schedule and detection exactly.
-const ARMED_SCHEDULE_OUTCOMES: [Outcome; 7] = [
+/// [`armed_schedule`]'s outcomes. The first seven were recorded when the
+/// checked residues came from a separate scalar checked pipeline that
+/// also injected the faults: the fused kernels must reproduce that
+/// schedule and detection exactly. The other seven (op-GEMM f32, op-CGEMM
+/// `H,N`, op-GEMM f64, HERK, SYMM Left and Right, HEMM) were recorded
+/// through the per-op entry points `Blas3Call` replaced.
+const ARMED_SCHEDULE_OUTCOMES: [Outcome; 14] = [
     (0x6947_f164_5664_21f0, (4, 4, 4)),
     (0x74e5_8236_51e9_cff1, (1, 1, 1)),
     (0xfac2_b2ec_8769_0bf1, (5, 5, 5)),
@@ -312,6 +353,13 @@ const ARMED_SCHEDULE_OUTCOMES: [Outcome; 7] = [
     (0x3d02_0faf_4368_adc2, (16, 16, 16)),
     (0x8e92_d554_52a2_b3d3, (6, 6, 6)),
     (0xbe24_36c3_da99_0e54, (2, 2, 2)),
+    (0x3c1b_476e_58b0_84f0, (3, 3, 3)),
+    (0x62cc_cce3_d3bb_6479, (8, 8, 8)),
+    (0x4823_541e_e2a2_1f1d, (0, 0, 0)),
+    (0xf247_1d03_fec8_8e28, (5, 5, 5)),
+    (0x1d3a_301d_a35e_1898, (12, 12, 12)),
+    (0xa404_808c_bb9a_8230, (21, 21, 21)),
+    (0x299f_b447_f2dd_74f1, (24, 24, 24)),
 ];
 
 /// Armed ABFT runs are level-independent: the output bits and the
