@@ -34,7 +34,8 @@
 //! ([`DotProductUnit::mma_f32_panel_into`] /
 //! [`DotProductUnit::mma_c32_panel_into`]) run a whole `K`-panel per
 //! call and, where a full 8-column fragment row is available, dispatch to
-//! the vectorized row kernels in [`simd`] — see that module for the
+//! the vectorized row kernels in [`simd`] — every real mode, the
+//! truncated `M3xuFp32Fast` schedule included; see that module for the
 //! exactness argument and the `M3XU_SIMD` kill switch. The per-chunk
 //! scalar executors stay intact as the differential oracle and the
 //! fallback for partial rows, specials, and wide exponent spreads.
@@ -795,7 +796,9 @@ impl FastDot {
     }
 }
 
-/// Collect one real-mode output element's contributions for the fast path.
+/// Collect one real-mode output element's contributions for the scalar
+/// fast path (the 128-bit window over split-mantissa entries; the SIMD
+/// row kernels reach the same exact value from `f64` lanes).
 ///
 /// The term schedule is the N-slice cross-product: every `(i, j)` slice
 /// pair for the full modes, only the pairs with `i + j < N` when
@@ -895,9 +898,11 @@ fn build_fast_c32(
 /// One real-mode output element over chunk `[k0, kend)`: the fast exact
 /// window, else the Kulisch drain. The single definition shared by the
 /// per-chunk executor and the SIMD panel's fallback — both paths are the
-/// same code, not merely equivalent code. The residue `sink` receives is
-/// of whatever term schedule ran — truncated or full — because the
-/// contribution list and the register *are* that schedule.
+/// same code, not merely equivalent code, and both pass the mode's own
+/// schedule, so a truncated fast chunk the SIMD window rejects stays
+/// truncated here. The residue `sink` receives is of whatever term
+/// schedule ran — truncated or full — because the contribution list and
+/// the register *are* that schedule.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn scalar_element_real<S: ResidueSink>(
@@ -1376,25 +1381,31 @@ impl DotProductUnit {
         };
         let kend = kend.min(a.len);
         let level = simd::level();
-        // The fast truncated mode is excluded from the SIMD row kernels:
-        // they form whole `f64` products per element (the exact a·b, i.e.
-        // all four slice terms fused), which would silently restore the
-        // dropped lo·lo term. Fast fragments stay on the scalar schedule.
+        // The truncated fast mode takes the same row kernels: its lanes
+        // are the exact `a·b − a_lo·b_lo` (see `simd::row_products`), so
+        // the dropped lo·lo term stays dropped.
         if level != simd::SimdLevel::Scalar
             && cols == simd::COLS
             && frag_k <= simd::MAX_KLEN
             && !a.transposed
             && b.transposed
-            && a.mode != MxuMode::M3xuFp32Fast
         {
+            let truncated = a.mode == MxuMode::M3xuFp32Fast;
             match level {
                 #[cfg(target_arch = "x86_64")]
                 // SAFETY: `level` is clamped to the host's detected
                 // capability, so Avx2 here implies the CPU supports it.
                 simd::SimdLevel::Avx2 => unsafe {
-                    self.simd_panel_f32_avx2(p, k0..kend, frag_k, acc, sink)
+                    if truncated {
+                        self.simd_panel_f32_avx2::<true, S>(p, k0..kend, frag_k, acc, sink)
+                    } else {
+                        self.simd_panel_f32_avx2::<false, S>(p, k0..kend, frag_k, acc, sink)
+                    }
                 },
-                _ => self.simd_panel_f32(level, p, k0..kend, frag_k, acc, sink),
+                _ if truncated => {
+                    self.simd_panel_f32::<true, S>(level, p, k0..kend, frag_k, acc, sink)
+                }
+                _ => self.simd_panel_f32::<false, S>(level, p, k0..kend, frag_k, acc, sink),
             }
             return;
         }
@@ -1487,7 +1498,7 @@ impl DotProductUnit {
     /// chunk.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    unsafe fn simd_panel_f32_avx2<S: ResidueSink>(
+    unsafe fn simd_panel_f32_avx2<const TRUNC: bool, S: ResidueSink>(
         &mut self,
         p: Panel,
         k: Range<usize>,
@@ -1495,18 +1506,20 @@ impl DotProductUnit {
         acc: &mut [f32],
         sink: &mut S,
     ) {
-        self.simd_panel_f32(simd::SimdLevel::Avx2, p, k, frag_k, acc, sink)
+        self.simd_panel_f32::<TRUNC, S>(simd::SimdLevel::Avx2, p, k, frag_k, acc, sink)
     }
 
     /// SIMD body of the real-mode panel: per row, per chunk, form the
-    /// `klen` whole products for all 8 columns with one vector pass, then
-    /// round each column's exact chunk value. Any column the exact window
-    /// cannot absorb (specials, wide exponent spread) falls back to the
-    /// scalar element path for that one (element, chunk) — the shared
-    /// [`scalar_element_real`] — so results match the scalar pipeline bit
-    /// for bit no matter which path each element took.
+    /// `klen` exact products for all 8 columns with one vector pass —
+    /// whole products, or with `TRUNC` the fast schedule's `a·b −
+    /// a_lo·b_lo` — then round each column's exact chunk value. Any
+    /// column the exact window cannot absorb (specials, wide exponent
+    /// spread) falls back to the scalar element path for that one
+    /// (element, chunk) — the shared [`scalar_element_real`], on the same
+    /// term schedule — so results match the scalar pipeline bit for bit
+    /// no matter which path each element took.
     #[inline(always)]
-    fn simd_panel_f32<S: ResidueSink>(
+    fn simd_panel_f32<const TRUNC: bool, S: ResidueSink>(
         &mut self,
         level: simd::SimdLevel,
         p: Panel,
@@ -1525,7 +1538,7 @@ impl DotProductUnit {
             let mut seeds = simd::RowSeeds::load(row_acc);
             for ck0 in k.clone().step_by(frag_k) {
                 let klen = frag_k.min(k.end - ck0);
-                simd::row_products(level, arow, &p.b.vals, n, p.c0, ck0, klen, &mut prods);
+                simd::row_products::<TRUNC>(level, arow, &p.b.vals, n, p.c0, ck0, klen, &mut prods);
                 // Constant-depth dispatch: the rounding kernel fully
                 // unrolls for each chunk depth.
                 match klen {
@@ -1572,7 +1585,8 @@ impl DotProductUnit {
         sink: &mut S,
     ) {
         let epe = p.a.epe;
-        let lanes = (T * epe * epe) as u64;
+        let truncated = p.a.mode == MxuMode::M3xuFp32Fast;
+        let lanes = T as u64 * p.a.mode.terms_per_mac();
         #[cfg(not(target_arch = "x86_64"))]
         let _ = level;
         // Each column's accumulator threads through consecutive chunks in
@@ -1617,7 +1631,7 @@ impl DotProductUnit {
                         ck0,
                         ck0 + T,
                         epe,
-                        false,
+                        truncated,
                         lanes,
                         sink,
                     );
@@ -1648,7 +1662,18 @@ impl DotProductUnit {
                 );
             } else {
                 let (av, bv) = p.vecs(i, j);
-                *d = scalar_element_real(self, *d, av, bv, ck0, ck0 + T, epe, false, lanes, sink);
+                *d = scalar_element_real(
+                    self,
+                    *d,
+                    av,
+                    bv,
+                    ck0,
+                    ck0 + T,
+                    epe,
+                    truncated,
+                    lanes,
+                    sink,
+                );
                 seeds.set(j, simd::ChunkSeed::decode(*d));
             }
         }
@@ -1973,38 +1998,65 @@ mod tests {
     }
 
     #[test]
-    fn fast_mode_panel_never_takes_the_simd_row_kernels() {
-        // The SIMD row kernels form whole products, which would restore
-        // the dropped lo.lo term; the panel must produce the truncated
-        // scalar result whatever the active SIMD level.
-        let a = Matrix::<f32>::random(8, 8, 151);
-        let b = Matrix::<f32>::random(8, 8, 152);
+    fn fast_mode_panel_matches_the_truncated_chunk_loop_at_every_level() {
+        // Above Scalar the fast schedule's 8-column panel runs on the SIMD
+        // row kernels (lanes `a·b − a_lo·b_lo`) with the per-(element,
+        // chunk) scalar fallback; it must reproduce the scalar truncated
+        // chunk loop bit for bit and count 3 lane products per MAC, at
+        // every fragment depth — K = 7 leaves a ragged last chunk for
+        // depths 2–4. Row 0 and column 3 carry a 1e30 spread, so their
+        // elements fall back to the scalar schedule.
+        const K: usize = 7;
+        let mut a = Matrix::<f32>::random(8, K, 151);
+        let mut b = Matrix::<f32>::random(K, 8, 152);
         let c = Matrix::<f32>::random(8, 8, 153);
-        let pa = PackedOperand::pack_rows_f32(&a, MxuMode::M3xuFp32Fast);
-        let pb = PackedOperand::pack_cols_f32(&b, MxuMode::M3xuFp32Fast);
-        let mut dpu = DotProductUnit::new();
-        let mut panel: Vec<f32> = c.as_slice().to_vec();
-        dpu.mma_f32_panel_into(&pa, &pb, 0, 8, 0, 8, 0, 8, 2, &mut panel);
-        let mut chunked: Vec<f32> = c.as_slice().to_vec();
-        for ck0 in (0..8).step_by(2) {
-            dpu.mma_f32_into(&pa, &pb, 0, 8, 0, 8, ck0, 2, &mut chunked);
-        }
-        for (x, y) in panel.iter().zip(&chunked) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        // And the full mode on the same data differs (lo.lo matters for
-        // generic inputs) — the truncation is real, not a no-op.
-        let paf = PackedOperand::pack_rows_f32(&a, MxuMode::M3xuFp32);
-        let pbf = PackedOperand::pack_cols_f32(&b, MxuMode::M3xuFp32);
-        let mut full: Vec<f32> = c.as_slice().to_vec();
-        dpu.mma_f32_panel_into(&paf, &pbf, 0, 8, 0, 8, 0, 8, 2, &mut full);
-        assert!(
-            panel
-                .iter()
-                .zip(&full)
-                .any(|(x, y)| x.to_bits() != y.to_bits()),
-            "truncated and full schedules coincided on random data"
-        );
+        a.set(0, 0, a.get(0, 0) * 1.0e30);
+        a.set(0, 1, a.get(0, 1) / 1.0e30);
+        b.set(2, 3, b.get(2, 3) * 1.0e30);
+        let pack = |mode| {
+            (
+                PackedOperand::pack_rows_f32(&a, mode),
+                PackedOperand::pack_cols_f32(&b, mode),
+            )
+        };
+        let (pa, pb) = pack(MxuMode::M3xuFp32Fast);
+        let (paf, pbf) = pack(MxuMode::M3xuFp32);
+        simd::at_every_level(|lvl| {
+            let mut truncation_visible = false;
+            for frag_k in 1..=4 {
+                let mut dpu = DotProductUnit::new();
+                let mut panel: Vec<f32> = c.as_slice().to_vec();
+                dpu.mma_f32_panel_into(&pa, &pb, 0, 8, 0, 8, 0, K, frag_k, &mut panel);
+                assert_eq!(
+                    dpu.lane_ops,
+                    (8 * 8 * K * 3) as u64,
+                    "lane products at {lvl:?}, frag_k {frag_k}"
+                );
+                let mut chunked: Vec<f32> = c.as_slice().to_vec();
+                for ck0 in (0..K).step_by(frag_k) {
+                    dpu.mma_f32_into(&pa, &pb, 0, 8, 0, 8, ck0, frag_k, &mut chunked);
+                }
+                for (e, (x, y)) in panel.iter().zip(&chunked).enumerate() {
+                    assert_eq!(
+                        x.to_bits(),
+                        y.to_bits(),
+                        "element {e} at {lvl:?}, frag_k {frag_k}: {x:e} vs {y:e}"
+                    );
+                }
+                // The full schedule on the same data rounds differently
+                // somewhere: lo·lo matters, so the truncation is real.
+                let mut full: Vec<f32> = c.as_slice().to_vec();
+                dpu.mma_f32_panel_into(&paf, &pbf, 0, 8, 0, 8, 0, K, frag_k, &mut full);
+                truncation_visible |= panel
+                    .iter()
+                    .zip(&full)
+                    .any(|(x, y)| x.to_bits() != y.to_bits());
+            }
+            assert!(
+                truncation_visible,
+                "truncated and full schedules coincided at {lvl:?}"
+            );
+        });
     }
 
     #[test]

@@ -30,6 +30,11 @@
 //! columns). Each column's products are then decoded and reduced exactly
 //! in the same 128-bit window / rounder as the scalar path.
 //!
+//! The truncated `M3xuFp32Fast` schedule (HH + HL + LH, the lo·lo slice
+//! product dropped) takes the same kernels: each lane is `a·b −
+//! a_lo·b_lo`, which is exact in `f64` (see `row_products`), so the
+//! window rounds the same exact value as the scalar truncated schedule.
+//!
 //! Anything the window cannot prove exact — a non-finite product (which
 //! subsumes every special-operand case), or an exponent spread beyond
 //! `SIMD_POW_RANGE` — falls back **per element-chunk** to the scalar
@@ -38,6 +43,8 @@
 //! element through that oracle path.
 
 use std::sync::atomic::{AtomicU8, Ordering};
+
+use m3xu_fp::split::FP32_SLICES_EXACT;
 
 /// Vector width class the packed executors dispatch to, resolved once per
 /// process from `M3XU_SIMD` and runtime CPU feature detection.
@@ -155,6 +162,23 @@ pub(crate) const COLS: usize = 8;
 
 /// Largest `frag.k` any mode's fragment shape reaches (FP16/BF16).
 pub(crate) const MAX_KLEN: usize = 4;
+
+/// The bits of an `f32` that hold the low slice of
+/// [`crate::buffer::decode_fp32`]: the bottom 12 significand bits. The
+/// slice boundary sits inside the explicit significand field for normals
+/// and subnormals alike, so masking the bit pattern splits every finite
+/// value.
+const LO_SLICE_BITS: u32 = (1 << FP32_SLICES_EXACT.bits_below(0)) - 1;
+
+/// The exact value of `x`'s low slice: `x` minus its high slice (the bit
+/// pattern with [`LO_SLICE_BITS`] cleared). Both share `x`'s exponent and
+/// the difference has at most 12 significant bits, so the subtraction is
+/// exact for every finite `x`; it carries `x`'s sign (or is `+0.0`). A
+/// non-finite `x` yields NaN.
+#[inline(always)]
+fn lo_slice(x: f32) -> f32 {
+    x - f32::from_bits(x.to_bits() & !LO_SLICE_BITS)
+}
 
 /// Maximum exponent spread the f64-product reduction accepts: at most 5
 /// contributions (4 products + seed) below `2^53`, so the exact sum stays
@@ -371,7 +395,7 @@ pub(crate) mod x86 {
     #[cfg(target_arch = "x86_64")]
     use core::arch::x86_64::*;
 
-    use super::{RowSeeds, COLS, MAX_KLEN, SIMD_POW_RANGE};
+    use super::{lo_slice, RowSeeds, COLS, LO_SLICE_BITS, MAX_KLEN, SIMD_POW_RANGE};
 
     /// Out-of-window power sentinel for the vector min/max reductions.
     /// Far outside any real f64/seed power (|pow| ≤ ~1100) yet small
@@ -520,7 +544,7 @@ pub(crate) mod x86 {
     }
 
     #[target_feature(enable = "avx2")]
-    pub unsafe fn row_products_avx2(
+    pub unsafe fn row_products_avx2<const TRUNC: bool>(
         a: &[f32],
         bt: &[f32],
         bstride: usize,
@@ -529,14 +553,22 @@ pub(crate) mod x86 {
         klen: usize,
         out: &mut [[f64; COLS]; MAX_KLEN],
     ) {
+        let hi_mask = _mm_castsi128_ps(_mm_set1_epi32(!LO_SLICE_BITS as i32));
         for t in 0..klen {
-            let av = _mm256_set1_pd(*a.get_unchecked(k0 + t) as f64);
+            let x = *a.get_unchecked(k0 + t);
+            let av = _mm256_set1_pd(x as f64);
+            let alo = _mm256_set1_pd(lo_slice(x) as f64);
             let bp = bt.as_ptr().add((k0 + t) * bstride + c0);
-            let lo = _mm256_cvtps_pd(_mm_loadu_ps(bp));
-            let hi = _mm256_cvtps_pd(_mm_loadu_ps(bp.add(4)));
             let op = out.get_unchecked_mut(t).as_mut_ptr();
-            _mm256_storeu_pd(op, _mm256_mul_pd(av, lo));
-            _mm256_storeu_pd(op.add(4), _mm256_mul_pd(av, hi));
+            for h in 0..2 {
+                let b4 = _mm_loadu_ps(bp.add(4 * h));
+                let mut prod = _mm256_mul_pd(av, _mm256_cvtps_pd(b4));
+                if TRUNC {
+                    let blo = _mm_sub_ps(b4, _mm_and_ps(b4, hi_mask));
+                    prod = _mm256_sub_pd(prod, _mm256_mul_pd(alo, _mm256_cvtps_pd(blo)));
+                }
+                _mm256_storeu_pd(op.add(4 * h), prod);
+            }
         }
     }
 
@@ -607,7 +639,7 @@ pub(crate) mod x86 {
     }
 
     #[target_feature(enable = "sse2")]
-    pub unsafe fn row_products_sse2(
+    pub unsafe fn row_products_sse2<const TRUNC: bool>(
         a: &[f32],
         bt: &[f32],
         bstride: usize,
@@ -616,14 +648,22 @@ pub(crate) mod x86 {
         klen: usize,
         out: &mut [[f64; COLS]; MAX_KLEN],
     ) {
+        let hi_mask = _mm_castsi128_ps(_mm_set1_epi32(!LO_SLICE_BITS as i32));
         for t in 0..klen {
-            let av = _mm_set1_pd(*a.get_unchecked(k0 + t) as f64);
+            let x = *a.get_unchecked(k0 + t);
+            let av = _mm_set1_pd(x as f64);
+            let alo = _mm_set1_pd(lo_slice(x) as f64);
             let bp = bt.as_ptr().add((k0 + t) * bstride + c0);
             let op = out.get_unchecked_mut(t).as_mut_ptr();
             for h in 0..4 {
                 // cvtps2pd widens the low two f32 lanes of its source.
                 let pair = _mm_castsi128_ps(_mm_loadl_epi64(bp.add(2 * h) as *const __m128i));
-                _mm_storeu_pd(op.add(2 * h), _mm_mul_pd(av, _mm_cvtps_pd(pair)));
+                let mut prod = _mm_mul_pd(av, _mm_cvtps_pd(pair));
+                if TRUNC {
+                    let blo = _mm_sub_ps(pair, _mm_and_ps(pair, hi_mask));
+                    prod = _mm_sub_pd(prod, _mm_mul_pd(alo, _mm_cvtps_pd(blo)));
+                }
+                _mm_storeu_pd(op.add(2 * h), prod);
             }
         }
     }
@@ -631,10 +671,21 @@ pub(crate) mod x86 {
 
 /// Dispatch one chunk's row products to the active vector kernel.
 ///
+/// With `TRUNC` each lane is the truncated `M3xuFp32Fast` product
+/// `a·b − a_lo·b_lo` (lo slices per [`lo_slice`]) — exactly the sum of
+/// the three kept slice products `a_hi·b_hi + a_hi·b_lo + a_lo·b_hi`.
+/// That value is exact in `f64`: with `|a| = A·2^(ea−23)` split as
+/// `A = A_h·2^12 + A_l` (likewise `b`), it is `(A_h·B_h·2^24 + (A_h·B_l +
+/// A_l·B_h)·2^12)·2^(ea+eb−46)` — three terms of one sign, an integer
+/// below `A·B < 2^48` in units of `2^(ea+eb−46)`. The whole product (≤48
+/// significant bits), `a_lo·b_lo` (≤24) and their difference are all
+/// representable, so no operation rounds. A non-finite operand makes a
+/// NaN lane (its lo slice is NaN), which the window aborts on.
+///
 /// `level` must not be `Scalar`; bounds per [`x86::row_products_avx2`].
 #[inline]
 #[allow(unused_variables, clippy::too_many_arguments)]
-pub(crate) fn row_products(
+pub(crate) fn row_products<const TRUNC: bool>(
     level: SimdLevel,
     a: &[f32],
     bt: &[f32],
@@ -653,8 +704,8 @@ pub(crate) fn row_products(
     // clamped to the host's detected capability.
     unsafe {
         match level {
-            SimdLevel::Avx2 => x86::row_products_avx2(a, bt, bstride, c0, k0, klen, out),
-            _ => x86::row_products_sse2(a, bt, bstride, c0, k0, klen, out),
+            SimdLevel::Avx2 => x86::row_products_avx2::<TRUNC>(a, bt, bstride, c0, k0, klen, out),
+            _ => x86::row_products_sse2::<TRUNC>(a, bt, bstride, c0, k0, klen, out),
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
@@ -823,8 +874,117 @@ mod tests {
                 continue;
             }
             let mut got = [[0f64; COLS]; MAX_KLEN];
-            row_products(lvl, &a, &bt, bstride, c0, k0, klen, &mut got);
+            row_products::<false>(lvl, &a, &bt, bstride, c0, k0, klen, &mut got);
             assert_eq!(got, want, "{lvl:?}");
+        }
+    }
+
+    /// `Σ` of the three kept `decode_fp32` slice products of `x·y` (HH,
+    /// HL, LH), formed as one integer in units of the lo·lo weight and
+    /// scaled into `f64` — exact, as the integer is below 2^48.
+    fn truncated_slice_sum(x: f32, y: f32) -> f64 {
+        let (xh, xl) = crate::buffer::decode_fp32(x);
+        let (yh, yl) = crate::buffer::decode_fp32(y);
+        let (xh_m, xl_m, yh_m, yl_m) = (
+            xh.mant as u64,
+            xl.mant as u64,
+            yh.mant as u64,
+            yl.mant as u64,
+        );
+        let units = ((xh_m * yh_m) << 24) + ((xh_m * yl_m + xl_m * yh_m) << 12);
+        assert!(units < 1 << 48);
+        // Every finite f32 slice pair sits at ≥ 2^-298: a normal f64 scale.
+        let scale = f64::from_bits(((1023 + xl.pow + yl.pow) as u64) << 52);
+        let mag = units as f64 * scale;
+        if xh.sign != yh.sign {
+            -mag
+        } else {
+            mag
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn truncated_row_products_are_the_three_slice_products_on_every_level() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        // `f32` from sign/biased-exponent/explicit-significand fields.
+        let parts = |r: u64, exp: u32, frac: u32| {
+            f32::from_bits((((r >> 63) as u32) << 31) | (exp << 23) | (frac & 0x7f_ffff))
+        };
+        let extremes = [
+            2f32.powi(-126),
+            2f32.powi(126),
+            f32::MAX,
+            f32::MIN_POSITIVE / 8.0,
+            f32::from_bits(1),
+        ];
+        // Operand classes: random finite values across the whole exponent
+        // range; subnormals whose hi slice is zero (M < 2^12); values with
+        // a zero lo slice; signed zeros; and the 2^±126 / subnormal /
+        // f32::MAX extremes.
+        let mut class = |c: u64| -> f32 {
+            let r = next();
+            let exp = 1 + ((r >> 8) % 254) as u32;
+            match c % 5 {
+                0 => parts(r, exp, r as u32),
+                1 => parts(r, 0, r as u32 & 0xfff),
+                2 => parts(r, exp, r as u32 & !0xfff),
+                3 => parts(r, 0, 0),
+                _ => extremes[(r >> 8) as usize % extremes.len()].copysign(parts(r, 1, 0)),
+            }
+        };
+        let (bstride, klen) = (COLS, MAX_KLEN);
+        let mut lo_zero_seen = false;
+        for case in 0..2000u64 {
+            let a: Vec<f32> = (0..klen as u64).map(|t| class(case + t)).collect();
+            let bt: Vec<f32> = (0..(klen * bstride) as u64)
+                .map(|t| class(case / 5 + t))
+                .collect();
+            for lvl in [SimdLevel::Sse2, SimdLevel::Avx2] {
+                if clamp(lvl, detected()) != lvl {
+                    continue;
+                }
+                let mut got = [[0f64; COLS]; MAX_KLEN];
+                row_products::<true>(lvl, &a, &bt, bstride, 0, 0, klen, &mut got);
+                for t in 0..klen {
+                    for j in 0..COLS {
+                        let (x, y) = (a[t], bt[t * bstride + j]);
+                        lo_zero_seen |= x != 0.0 && crate::buffer::decode_fp32(x).1.mant == 0;
+                        let want = truncated_slice_sum(x, y);
+                        assert!(
+                            got[t][j] == want,
+                            "{lvl:?}: {x:e} * {y:e}: lane {:e} vs slice sum {want:e}",
+                            got[t][j]
+                        );
+                    }
+                }
+            }
+        }
+        assert!(lo_zero_seen, "the lo == 0 class never reached the kernels");
+        // A non-finite operand on either side makes a NaN lane, which the
+        // exact window refuses.
+        for x in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+            for (a, b) in [(x, 1.5f32), (1.5, x), (x, 0.0), (0.0, x), (x, x)] {
+                let av = [a; MAX_KLEN];
+                let bt = [b; COLS * MAX_KLEN];
+                for lvl in [SimdLevel::Sse2, SimdLevel::Avx2] {
+                    if clamp(lvl, detected()) != lvl {
+                        continue;
+                    }
+                    let mut got = [[0f64; COLS]; MAX_KLEN];
+                    row_products::<true>(lvl, &av, &bt, COLS, 0, 0, 1, &mut got);
+                    for &lane in &got[0] {
+                        assert!(lane.is_nan(), "{lvl:?}: {a:e} * {b:e} gave {lane:e}");
+                        assert_eq!(exact_chunk_round(0.0, &[lane]), None);
+                    }
+                }
+            }
         }
     }
 
@@ -865,7 +1025,7 @@ mod tests {
         let t = Instant::now();
         for _ in 0..reps * 8 {
             for c in 0..chunks {
-                row_products(lvl, &av, &bt, 8, 0, c * 2, 2, &mut out);
+                row_products::<false>(lvl, &av, &bt, 8, 0, c * 2, 2, &mut out);
             }
         }
         println!(
@@ -934,7 +1094,7 @@ mod tests {
                     *c = ChunkSeed::decode(*a);
                 }
                 for c in 0..chunks {
-                    row_products(lvl, &av, &bt, 8, 0, c * 2, 2, &mut out);
+                    row_products::<false>(lvl, &av, &bt, 8, 0, c * 2, 2, &mut out);
                     for j in 0..COLS {
                         let terms = [out[0][j], out[1][j]];
                         let (sum, pmin, ok) = exact_chunk_accumulate_seeded(cs[j], &terms);

@@ -44,11 +44,14 @@ cargo test --release -q --test cross_validation
 # SIMD gate: the parity and differential suites with the vector pipeline
 # at the auto-detected level and forced off (`M3XU_SIMD=0`, the scalar
 # oracle standing alone). The level is resolved once per process, hence
-# one cargo invocation per setting.
+# one cargo invocation per setting. cross_validation rides along so the
+# executed ExecStats (lane products included) reconcile with the
+# analytical model on both the vector and the scalar path.
 for simd in 1 0; do
-    echo "== SIMD parity + differential suites under M3XU_SIMD=${simd}"
+    echo "== SIMD parity + differential + cross-validation suites under M3XU_SIMD=${simd}"
     M3XU_SIMD=${simd} cargo test -q \
-        --test simd_parity --test simd_env --test differential_props
+        --test simd_parity --test simd_env --test differential_props \
+        --test cross_validation
     echo "== BLAS-3 differential suite under M3XU_SIMD=${simd}"
     M3XU_SIMD=${simd} M3XU_PROP_CASES=4 cargo test -q \
         --test blas3_differential
